@@ -14,7 +14,7 @@ from .harness import (EightSpec, EpisodeTrace, MetricsReport, Scenario,
 from .mpc import (AugmentedModel, LinearModel, MpcConfig, MpcSolution, augment,
                   linearize, solve_mpc)
 from .paths import (ClothoidSpec, PathTable, TrackingErrors, build_clothoid,
-                    build_eight_path, project, tracking_errors)
+                    build_eight_path, project)
 from .qp import QpResult, solve_qp
 from .tracking import AptParams, apt_radius, default_radius_grid, ppt_radius, steer_feedback
 from .vehicle import (ControlInput, ControlLimits, Pose, VehicleParams,

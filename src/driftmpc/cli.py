@@ -6,14 +6,16 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from .equilibrium import dep_sweep, solve_dep, sweep_to_csv
+from .errors import DriftMpcError
 from .harness import (EpisodeTrace, Scenario, case_scenario, report,
                       run_episode, scenario_from_file, scenario_to_file, tune)
-from .paths import build_clothoid, build_eight_path
-from .presets import default_clothoid, default_vehicle_params
+from .paths import ClothoidSpec, build_clothoid, build_eight_path
+from .presets import default_vehicle_params
 
 
 def _cmd_dep(args) -> int:
@@ -37,7 +39,7 @@ def _cmd_dep(args) -> int:
 
 def _cmd_path(args) -> int:
     if args.kind == "clothoid":
-        table = build_clothoid(default_clothoid(), args.spacing)
+        table = build_clothoid(ClothoidSpec(), args.spacing)
     else:
         table = build_eight_path(args.radius, args.spacing)
     table.to_csv(args.out)
@@ -56,7 +58,6 @@ def _load_scenario(args, default_mode: str) -> Scenario:
     if args.scenario:
         sc = scenario_from_file(args.scenario)
         if args.mode is not None:
-            from dataclasses import replace
             sc = replace(sc, mode=args.mode)
         return sc
     return case_scenario(case=args.case,
@@ -71,8 +72,8 @@ def _cmd_simulate(args) -> int:
     scenario_to_file(scenario, os.path.join(args.out, "scenario.json"))
     status = "FAILED: " + trace.failure_reason if trace.failed else "completed"
     print(f"episode {status} after {len(trace)} steps")
-    for name in metrics.FIELDS:
-        print(f"  {name:10s} = {getattr(metrics, name):.6g}")
+    for name, value in asdict(metrics).items():
+        print(f"  {name:10s} = {value:.6g}")
     return 1 if trace.failed else 0
 
 
@@ -148,8 +149,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; a classified package error is reported on
+    stderr as `driftmpc: <ErrorType>: <message>` with exit status 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except DriftMpcError as exc:
+        print(f"driftmpc: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

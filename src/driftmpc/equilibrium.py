@@ -195,12 +195,10 @@ def dep_sweep(delta_grid, R_grid, params: VehicleParams) -> list[SweepCell]:
 
 
 def sweep_to_csv(cells: list[SweepCell], path) -> None:
-    with open(path, "w") as fh:
-        fh.write("delta,R,V,beta,r,Fxr,converged\n")
-        for c in cells:
-            if c.converged and c.eq is not None:
-                fh.write("%.12g,%.12g,%.12g,%.12g,%.12g,%.12g,1\n" % (
-                    c.delta_eq, c.R_eq, c.eq.V_eq, c.eq.beta_eq,
-                    c.eq.r_eq, c.eq.F_xr_eq))
-            else:
-                fh.write("%.12g,%.12g,nan,nan,nan,nan,0\n" % (c.delta_eq, c.R_eq))
+    """One row per cell; a cell without an equilibrium reads nan,...,0."""
+    rows = [(c.delta_eq, c.R_eq, c.eq.V_eq, c.eq.beta_eq, c.eq.r_eq, c.eq.F_xr_eq, 1)
+            if c.converged and c.eq is not None
+            else (c.delta_eq, c.R_eq, math.nan, math.nan, math.nan, math.nan, 0)
+            for c in cells]
+    np.savetxt(path, rows, fmt="%.12g", delimiter=",",
+               header="delta,R,V,beta,r,Fxr,converged", comments="")

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+import os
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -21,9 +22,7 @@ from .errors import (ConfigError, DriftMpcError, GripBranchError,
 from .mpc import MpcConfig, augment, linearize, solve_mpc
 from .paths import (ClothoidSpec, PathTable, build_clothoid, build_eight_path,
                     errors_from_projection, project)
-from .presets import (default_apt_params, default_clothoid, default_cost_config,
-                      default_limits, default_mpc_config, default_theta_bounds,
-                      default_vehicle_params)
+from .presets import MU_NOMINAL, MU_SLIPPERY, default_limits, default_vehicle_params
 from .tracking import AptParams, apt_radius, default_radius_grid, ppt_radius, steer_feedback
 from .vehicle import (ControlInput, ControlLimits, Pose, VehicleParams,
                       static_loads, step, wrap_angle)
@@ -38,6 +37,7 @@ TRACE_COLUMNS = ["t", "X", "Y", "phi", "V", "beta", "r", "delta_cmd",
                  "F_xr_cmd", "e", "d_phi", "d_psi", "e_la", "R_eq",
                  "delta_eq_hat", "V_eq", "beta_eq", "r_eq", "F_xr_eq",
                  "mpc_cost", "dep_converged"]
+FAILED_PREFIX = "# failed: "  # trailing trace-CSV line of a failed episode
 
 
 @dataclass(frozen=True)
@@ -47,13 +47,13 @@ class EightSpec:
 
 @dataclass(frozen=True)
 class Scenario:
-    path: ClothoidSpec | EightSpec = field(default_factory=default_clothoid)
+    path: ClothoidSpec | EightSpec = field(default_factory=ClothoidSpec)
     plant_params: VehicleParams = field(default_factory=default_vehicle_params)
     model_params: VehicleParams = field(default_factory=default_vehicle_params)
     limits: ControlLimits = field(default_factory=default_limits)
-    mpc: MpcConfig = field(default_factory=default_mpc_config)
-    apt: AptParams = field(default_factory=default_apt_params)
-    cost: CostConfig = field(default_factory=default_cost_config)
+    mpc: MpcConfig = field(default_factory=MpcConfig)
+    apt: AptParams = field(default_factory=AptParams)
+    cost: CostConfig = field(default_factory=CostConfig)
     mode: str = "ppt"
     T: float = 18.4   # episode duration [s]
     seed: int = 0
@@ -85,18 +85,22 @@ class EpisodeTrace:
         return len(self.columns["t"])
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(",".join(TRACE_COLUMNS) + "\n")
-            cols = [self.columns[c] for c in TRACE_COLUMNS]
-            for i in range(len(self)):
-                fh.write(",".join("%.12g" % col[i] for col in cols) + "\n")
+        """One row per step; a failed trace ends with a FAILED_PREFIX line
+        holding the reason, which CSV readers skip as a comment."""
+        reason = " ".join(self.failure_reason.splitlines())
+        np.savetxt(path, np.column_stack([self.columns[c] for c in TRACE_COLUMNS]),
+                   fmt="%.12g", delimiter=",", header=",".join(TRACE_COLUMNS),
+                   footer=FAILED_PREFIX + reason if self.failed else "", comments="")
 
     @staticmethod
     def from_csv(path) -> "EpisodeTrace":
-        data = np.genfromtxt(path, delimiter=",", names=True)
-        data = np.atleast_1d(data)
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        data = np.atleast_1d(np.genfromtxt(lines, delimiter=",", names=True))
         cols = {name: np.asarray(data[name], float) for name in data.dtype.names}
-        return EpisodeTrace(columns=cols)
+        failed = lines[-1].startswith(FAILED_PREFIX)
+        return EpisodeTrace(columns=cols, failed=failed, failure_reason=(
+            lines[-1].removeprefix(FAILED_PREFIX) if failed else ""))
 
 
 @dataclass(frozen=True)
@@ -110,9 +114,6 @@ class MetricsReport:
     rmse_F: float
     max_abs_e: float
     cost_J: float
-
-    FIELDS = ("rmse_e", "rmse_dpsi", "rmse_V", "rmse_beta", "rmse_r",
-              "rmse_delta", "rmse_F", "max_abs_e", "cost_J")
 
 
 def _rms(x: np.ndarray) -> float:
@@ -204,7 +205,7 @@ def run_episode(scenario: Scenario, theta=None,
     u_prev = np.array([eq0.delta_eq, eq0.F_xr_eq])
     eq = eq0
 
-    rows = {name: [] for name in TRACE_COLUMNS}
+    rows = []
     failed = False
     reason = ""
     dep_failures = 0
@@ -262,27 +263,12 @@ def run_episode(scenario: Scenario, theta=None,
         F_applied = min(sol.u_next.F_xr, plant_force_cap)
         u = ControlInput(sol.u_next.delta, F_applied)
 
-        rows["t"].append(k * mpc_cfg.dT)
-        rows["X"].append(pose.X)
-        rows["Y"].append(pose.Y)
-        rows["phi"].append(pose.phi)
-        rows["V"].append(state.V)
-        rows["beta"].append(state.beta)
-        rows["r"].append(state.r)
-        rows["delta_cmd"].append(u.delta)
-        rows["F_xr_cmd"].append(u.F_xr)
-        rows["e"].append(errs.e)
-        rows["d_phi"].append(errs.d_phi)
-        rows["d_psi"].append(errs.d_psi)
-        rows["e_la"].append(errs.e_la)
-        rows["R_eq"].append(R_eq)
-        rows["delta_eq_hat"].append(eq.delta_eq)  # equals delta_hat unless holding
-        rows["V_eq"].append(eq.V_eq)
-        rows["beta_eq"].append(eq.beta_eq)
-        rows["r_eq"].append(eq.r_eq)
-        rows["F_xr_eq"].append(eq.F_xr_eq)
-        rows["mpc_cost"].append(sol.cost)
-        rows["dep_converged"].append(1.0 if dep_ok else 0.0)
+        # TRACE_COLUMNS order; delta_eq equals delta_hat unless holding
+        rows.append((k * mpc_cfg.dT, pose.X, pose.Y, pose.phi,
+                     state.V, state.beta, state.r, u.delta, u.F_xr,
+                     errs.e, errs.d_phi, errs.d_psi, errs.e_la, R_eq,
+                     eq.delta_eq, eq.V_eq, eq.beta_eq, eq.r_eq, eq.F_xr_eq,
+                     sol.cost, 1.0 if dep_ok else 0.0))
 
         try:
             state, pose = step(state, pose, u, plant_params, mpc_cfg.dT,
@@ -292,9 +278,9 @@ def run_episode(scenario: Scenario, theta=None,
             break
         u_prev = np.array([u.delta, u.F_xr])
 
-    trace = EpisodeTrace(
-        columns={name: np.array(vals) for name, vals in rows.items()},
-        failed=failed, failure_reason=reason)
+    table = np.array(rows, float).reshape(-1, len(TRACE_COLUMNS))
+    trace = EpisodeTrace(columns=dict(zip(TRACE_COLUMNS, table.T)),
+                         failed=failed, failure_reason=reason)
     return trace, metrics_from_trace(trace, scenario.cost)
 
 
@@ -312,12 +298,11 @@ class TuneResult:
     history_thetas: np.ndarray  # (N, 3) full vectors in evaluation order
 
     def history_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("iteration,delta_eq,w_r,w_e,cost,best_so_far\n")
-            for i in range(len(self.bo.costs)):
-                t = self.history_thetas[i]
-                fh.write("%d,%.12g,%.12g,%.12g,%.12g,%.12g\n" % (
-                    i, t[0], t[1], t[2], self.bo.costs[i], self.bo.best_so_far[i]))
+        n = len(self.bo.costs)
+        np.savetxt(path, np.column_stack([np.arange(n), self.history_thetas,
+                                          self.bo.costs, self.bo.best_so_far]),
+                   fmt="%.12g", delimiter=",", comments="",
+                   header="iteration,delta_eq,w_r,w_e,cost,best_so_far")
 
 
 def tune(scenario: Scenario, init: int = 20, budget: int = 320,
@@ -326,7 +311,7 @@ def tune(scenario: Scenario, init: int = 20, budget: int = 320,
     """Learn the free parameters of the scenario's mode with the BO loop.
 
     The mode fixes which components of (delta_eq, w_r, w_e) are free; the
-    rest stay pinned at the scenario defaults.  The neutral default point
+    rest stay pinned at the scenario's apt values.  That pinned point
     is inserted into the initial design so tuning can never end worse than
     the untuned configuration; extra_init accepts further full 3-vectors
     to warm-start from (e.g. a previously tuned lower-dimensional mode).
@@ -337,10 +322,11 @@ def tune(scenario: Scenario, init: int = 20, budget: int = 320,
         raise ConfigError("tuning requires mode apt, dep, or almpc")
     if seed is None:
         seed = scenario.seed
-    full_bounds = bounds if bounds is not None else default_theta_bounds()
+    full_bounds = bounds if bounds is not None else ThetaBounds()
     free = FREE_COMPONENTS[scenario.mode]
     sub_bounds = ThetaBounds(lo=full_bounds.lo[free], hi=full_bounds.hi[free])
-    pinned = np.array([scenario.apt.delta_eq_base, 1.0, 0.0])
+    apt = scenario.apt
+    pinned = np.array([apt.delta_eq_base, apt.w_r, apt.w_e])
     path = scenario.build_path()
 
     def expand(theta_free: np.ndarray) -> np.ndarray:
@@ -376,84 +362,57 @@ def report(traces: list[EpisodeTrace], labels: list[str],
         raise ConfigError("need one label per trace")
     if len({len(t) for t in traces}) > 1:
         raise ConfigError("traces have mismatched lengths")
-    cfg = cost_cfg if cost_cfg is not None else default_cost_config()
+    cfg = cost_cfg if cost_cfg is not None else CostConfig()
     reports = [metrics_from_trace(t, cfg) for t in traces]
-    header = ["label"] + list(MetricsReport.FIELDS)
+    header = ["label"] + [f.name for f in fields(MetricsReport)]
+    rows = [(label, *astuple(rep)) for label, rep in zip(labels, reports)]
     widths = [max(12, len(h) + 2) for h in header]
     lines = ["".join(h.ljust(w) for h, w in zip(header, widths))]
-    for label, rep in zip(labels, reports):
-        cells = [label] + ["%.6g" % getattr(rep, f) for f in MetricsReport.FIELDS]
+    for row in rows:
+        cells = [row[0]] + ["%.6g" % v for v in row[1:]]
         lines.append("".join(c.ljust(w) for c, w in zip(cells, widths)))
     table = "\n".join(lines)
     if out_dir is not None:
-        import os
         os.makedirs(out_dir, exist_ok=True)
         for label, trace in zip(labels, traces):
             trace.to_csv(os.path.join(out_dir, f"trace_{label}.csv"))
-        with open(os.path.join(out_dir, "metrics.csv"), "w") as fh:
-            fh.write("label," + ",".join(MetricsReport.FIELDS) + "\n")
-            for label, rep in zip(labels, reports):
-                fh.write(label + "," + ",".join(
-                    "%.12g" % getattr(rep, f) for f in MetricsReport.FIELDS) + "\n")
+        np.savetxt(os.path.join(out_dir, "metrics.csv"),
+                   np.array(rows, object).reshape(-1, len(header)),
+                   fmt=["%s"] + ["%.12g"] * (len(header) - 1), delimiter=",",
+                   header=",".join(header), comments="")
     return table, reports
 
 
 # ---------------------------------------------------------------------------
 # scenario (de)serialization
 
+PATH_KINDS = {"clothoid": ClothoidSpec, "eight": EightSpec}
+SECTIONS = {"plant_params": VehicleParams, "model_params": VehicleParams,
+            "limits": ControlLimits, "mpc": MpcConfig, "apt": AptParams,
+            "cost": CostConfig}
+
+
 def scenario_to_dict(sc: Scenario) -> dict:
-    if isinstance(sc.path, EightSpec):
-        path = {"kind": "eight", "radius": sc.path.radius}
-    else:
-        p = sc.path
-        path = {"kind": "clothoid", "x0": p.x0, "y0": p.y0, "theta0": p.theta0,
-                "kappa": p.kappa, "kappa_prime": p.kappa_prime, "length": p.length}
-    vp = lambda v: {"m": v.m, "I_z": v.I_z, "a": v.a, "b": v.b, "B": v.B,
-                    "C": v.C, "mu": v.mu, "g": v.g}
-    return {
-        "path": path,
-        "plant_params": vp(sc.plant_params),
-        "model_params": vp(sc.model_params),
-        "limits": {"delta_min": sc.limits.delta_min, "delta_max": sc.limits.delta_max,
-                   "F_min": sc.limits.F_min, "F_max": sc.limits.F_max,
-                   "d_delta_lim": sc.limits.d_delta_lim, "d_F_lim": sc.limits.d_F_lim},
-        "mpc": {"N_p": sc.mpc.N_p, "N_c": sc.mpc.N_c, "Q": list(sc.mpc.Q),
-                "R": list(sc.mpc.R), "dT": sc.mpc.dT},
-        "apt": {"w_r": sc.apt.w_r, "w_e": sc.apt.w_e, "x_la": sc.apt.x_la,
-                "k": sc.apt.k, "delta_eq_base": sc.apt.delta_eq_base},
-        "cost": {"lam": sc.cost.lam, "e_max": sc.cost.e_max, "N_k": sc.cost.N_k,
-                 "eps": sc.cost.eps, "j_fail": sc.cost.j_fail},
-        "mode": sc.mode,
-        "T": sc.T,
-        "seed": sc.seed,
-    }
+    kind = next(k for k, spec in PATH_KINDS.items() if isinstance(sc.path, spec))
+    data = asdict(sc)
+    data["path"] = {"kind": kind, **data["path"]}
+    return data
 
 
 def scenario_from_dict(data: dict) -> Scenario:
     try:
-        pd = dict(data["path"])
-        kind = pd.pop("kind")
-        if kind == "eight":
-            path = EightSpec(**pd)
-        elif kind == "clothoid":
-            path = ClothoidSpec(**pd)
-        else:
+        path = {**data["path"]}
+        kind = path.pop("kind")
+        if kind not in PATH_KINDS:
             raise ConfigError(f"unknown path kind '{kind}'")
         return Scenario(
-            path=path,
-            plant_params=VehicleParams(**data["plant_params"]),
-            model_params=VehicleParams(**data["model_params"]),
-            limits=ControlLimits(**data["limits"]),
-            mpc=MpcConfig(N_p=data["mpc"]["N_p"], N_c=data["mpc"]["N_c"],
-                          Q=tuple(data["mpc"]["Q"]), R=tuple(data["mpc"]["R"]),
-                          dT=data["mpc"]["dT"]),
-            apt=AptParams(**data["apt"]),
-            cost=CostConfig(**data["cost"]),
+            path=PATH_KINDS[kind](**path),
+            **{name: spec(**data[name]) for name, spec in SECTIONS.items()},
             mode=data["mode"],
             T=data["T"],
             seed=data.get("seed", 0),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed scenario: {exc}") from exc
 
 
@@ -470,12 +429,9 @@ def scenario_from_file(path) -> Scenario:
 
 def case_scenario(case: int = 1, mode: str = "ppt", **overrides) -> Scenario:
     """Stock scenario for the exact-parameter (1) or mismatched (2) case."""
-    if case == 1:
-        plant = default_vehicle_params(mu=1.0)
-    elif case == 2:
-        plant = default_vehicle_params(mu=0.9)
-    else:
+    plant_mu = {1: MU_NOMINAL, 2: MU_SLIPPERY}.get(case)
+    if plant_mu is None:
         raise ConfigError("case must be 1 or 2")
-    return Scenario(plant_params=plant,
-                    model_params=default_vehicle_params(mu=1.0),
+    return Scenario(plant_params=default_vehicle_params(mu=plant_mu),
+                    model_params=default_vehicle_params(mu=MU_NOMINAL),
                     mode=mode, **overrides)

@@ -42,6 +42,8 @@ class MpcConfig:
     dT: float = 0.1  # control period [s]
 
     def __post_init__(self):
+        object.__setattr__(self, "Q", tuple(self.Q))
+        object.__setattr__(self, "R", tuple(self.R))
         if self.N_c > self.N_p or self.N_c < 1:
             raise ConfigError("need 1 <= N_c <= N_p")
         if min(self.Q) <= 0 or min(self.R) <= 0:

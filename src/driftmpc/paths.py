@@ -42,11 +42,8 @@ class PathTable:
         return len(self.s)
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("s,X,Y,phi_r,kappa\n")
-            for i in range(len(self.s)):
-                fh.write("%.12g,%.12g,%.12g,%.12g,%.12g\n" % (
-                    self.s[i], self.x[i], self.y[i], self.phi[i], self.kappa[i]))
+        np.savetxt(path, np.column_stack([self.s, self.x, self.y, self.phi, self.kappa]),
+                   fmt="%.12g", delimiter=",", header="s,X,Y,phi_r,kappa", comments="")
 
 
 @dataclass(frozen=True)
@@ -189,10 +186,3 @@ def errors_from_projection(proj: Projection, pose: Pose, beta: float,
     e_la = proj.e + x_la * math.sin(d_psi)
     return TrackingErrors(e=proj.e, d_phi=d_phi, d_psi=d_psi, e_la=e_la,
                           R_r=proj.R_r)
-
-
-def tracking_errors(pose: Pose, beta: float, path: PathTable, x_la: float,
-                    hint_index: int | None = None) -> TrackingErrors:
-    """Lateral, heading, course and look-ahead errors at the current pose."""
-    proj = project(pose, path, hint_index=hint_index)
-    return errors_from_projection(proj, pose, beta, x_la)

@@ -1,13 +1,8 @@
 """Stock parameter values used by the shipped scenarios and tests."""
 from __future__ import annotations
 
-from .bo import CostConfig, ThetaBounds
-from .mpc import MpcConfig
-from .paths import ClothoidSpec
-from .tracking import AptParams
 from .vehicle import ControlLimits, VehicleParams
 
-DELTA_EQ_BASE = -0.52  # rad, stock steering equilibrium
 MU_NOMINAL = 1.0
 MU_SLIPPERY = 0.9      # plant-side friction for the mismatch case
 
@@ -21,26 +16,3 @@ def default_limits() -> ControlLimits:
     return ControlLimits(delta_min=-1.0, delta_max=1.0,
                          F_min=0.0, F_max=9000.0,
                          d_delta_lim=0.15, d_F_lim=1000.0)
-
-
-def default_mpc_config() -> MpcConfig:
-    return MpcConfig()
-
-
-def default_apt_params(w_r: float = 1.0, w_e: float = 0.0) -> AptParams:
-    return AptParams(w_r=w_r, w_e=w_e, x_la=12.0, k=-0.25,
-                     delta_eq_base=DELTA_EQ_BASE)
-
-
-def default_cost_config() -> CostConfig:
-    return CostConfig()
-
-
-def default_clothoid() -> ClothoidSpec:
-    return ClothoidSpec(x0=0.0, y0=0.0, theta0=0.0,
-                        kappa=1.0 / 40.0, kappa_prime=1.0 / 12000.0,
-                        length=360.0)
-
-
-def default_theta_bounds() -> ThetaBounds:
-    return ThetaBounds()

@@ -22,8 +22,8 @@ R_EQ_MAX = 500.0  # m
 
 @dataclass(frozen=True)
 class AptParams:
-    w_r: float                    # radius weight [-]
-    w_e: float                    # look-ahead error weight [-]
+    w_r: float = 1.0              # radius weight [-]
+    w_e: float = 0.0              # look-ahead error weight [-]
     x_la: float = 12.0            # look-ahead distance [m]
     k: float = -0.25              # steering feedback gain [rad/m]
     delta_eq_base: float = -0.52  # base steering equilibrium [rad]

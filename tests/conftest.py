@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from driftmpc.presets import (default_limits, default_mpc_config,
-                              default_vehicle_params)
+from driftmpc.mpc import MpcConfig
+from driftmpc.presets import default_limits, default_vehicle_params
 
 
 @pytest.fixture(scope="session")
@@ -17,7 +17,7 @@ def limits():
 
 @pytest.fixture(scope="session")
 def mpc_cfg():
-    return default_mpc_config()
+    return MpcConfig()
 
 
 @pytest.fixture(scope="session")

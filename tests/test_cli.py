@@ -1,7 +1,9 @@
 import os
 
+from driftmpc.bo import CostConfig
 from driftmpc.cli import main
-from driftmpc.harness import case_scenario, scenario_to_file
+from driftmpc.harness import (EpisodeTrace, case_scenario, run_episode,
+                              scenario_to_file)
 
 
 def test_dep_solve(capsys):
@@ -78,3 +80,38 @@ def test_mode_override_on_scenario(tmp_path, capsys):
                  "--theta=-0.5,1.0,0.0", "--out", str(tmp_path / "o2")])
     assert code == 0
     assert (tmp_path / "o2" / "trace_dep.csv").exists()
+
+
+def test_report_restores_failed_trace(tmp_path, capsys):
+    theta = (-0.473, 0.993, 2.90)
+    expected, _ = run_episode(case_scenario(case=2, mode="almpc"), theta)
+    assert expected.failed
+    code = main(["simulate", "--case", "2", "--mode", "almpc",
+                 "--theta=%g,%g,%g" % theta, "--out", str(tmp_path / "sim")])
+    assert code == 1
+    trace_file = tmp_path / "sim" / "trace_almpc.csv"
+    assert main(["report", "--traces", str(trace_file),
+                 "--out", str(tmp_path / "rep")]) == 0
+    header, row = (tmp_path / "rep" / "metrics.csv").read_text().splitlines()
+    assert header.endswith(",cost_J")
+    assert float(row.split(",")[-1]) == CostConfig().j_fail
+    restored = EpisodeTrace.from_csv(tmp_path / "rep" / "trace_trace_almpc.csv")
+    assert restored.failed
+    assert restored.failure_reason == expected.failure_reason
+
+
+def test_classified_errors_reported_without_traceback(tmp_path, capsys):
+    assert main(["dep", "--delta", "0.2", "--radius", "40"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("driftmpc: GripBranchError: ")
+    assert "Traceback" not in err
+
+    short, long_ = case_scenario(case=1, T=3.0), case_scenario(case=1, T=4.0)
+    files = []
+    for name, sc in (("short", short), ("long", long_)):
+        trace, _ = run_episode(sc)
+        trace.to_csv(tmp_path / f"{name}.csv")
+        files.append(str(tmp_path / f"{name}.csv"))
+    assert main(["report", "--traces", *files]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("driftmpc: ConfigError: traces have mismatched lengths")

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from driftmpc.equilibrium import (DriftEquilibrium, default_seed, dep_sweep,
-                                  solve_dep, sweep_to_csv)
+from driftmpc.equilibrium import (DriftEquilibrium, SweepCell, default_seed,
+                                  dep_sweep, solve_dep, sweep_to_csv)
 from driftmpc.errors import ConfigError, GripBranchError, NoConvergenceError
 from driftmpc.vehicle import dynamics, static_loads
 
@@ -130,6 +130,17 @@ class TestDepSweep:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "delta,R,V,beta,r,Fxr,converged"
         assert len(lines) == 2 and lines[1].endswith(",1")
+
+    def test_csv_bytes(self, tmp_path):
+        eq = DriftEquilibrium(V_eq=18.5, beta_eq=-1 / 3, r_eq=0.5, delta_eq=-0.52,
+                              F_xr_eq=5605.632334191069, R_eq=37.0)
+        cells = [SweepCell(-0.52, 37.0, eq, True, "ok"),
+                 SweepCell(0.2, 40.0, None, False, "GripBranchError")]
+        out = tmp_path / "sweep.csv"
+        sweep_to_csv(cells, out)
+        assert out.read_text() == ("delta,R,V,beta,r,Fxr,converged\n"
+                                   "-0.52,37,18.5,-0.333333333333,0.5,5605.63233419,1\n"
+                                   "0.2,40,nan,nan,nan,nan,0\n")
 
     def test_empty_grid_rejected(self, params):
         with pytest.raises(ConfigError):

@@ -1,14 +1,18 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
-from driftmpc.bo import CostConfig, failed_episode_cost
+from driftmpc.bo import BoResult, CostConfig, failed_episode_cost
 from driftmpc.errors import ConfigError
-from driftmpc.harness import (E_FAIL, EightSpec, EpisodeTrace, Scenario,
-                              case_scenario, metrics_from_trace, report,
-                              run_episode, scenario_from_file, scenario_to_file,
-                              tune, tune_objective)
+from driftmpc.harness import (E_FAIL, TRACE_COLUMNS, EightSpec, EpisodeTrace,
+                              Scenario, TuneResult, case_scenario,
+                              metrics_from_trace, report, run_episode,
+                              scenario_from_dict, scenario_from_file,
+                              scenario_to_dict, scenario_to_file, tune,
+                              tune_objective)
 from driftmpc.paths import ClothoidSpec
 from driftmpc.tracking import AptParams
 
@@ -142,9 +146,65 @@ class TestTraceCsv:
         trace.to_csv(f)
         loaded = EpisodeTrace.from_csv(f)
         again = metrics_from_trace(loaded, sc.cost)
-        for name in metrics.FIELDS:
-            a, b = getattr(metrics, name), getattr(again, name)
-            assert abs(a - b) <= 1e-9 * max(1.0, abs(a)), name
+        for fld in dataclasses.fields(metrics):
+            a, b = getattr(metrics, fld.name), getattr(again, fld.name)
+            assert abs(a - b) <= 1e-9 * max(1.0, abs(a)), fld.name
+
+
+def _hand_trace(rows, failed=False, reason=""):
+    table = np.array(rows, float).reshape(-1, len(TRACE_COLUMNS))
+    return EpisodeTrace(columns=dict(zip(TRACE_COLUMNS, table.T)),
+                        failed=failed, failure_reason=reason)
+
+
+class TestOutputBytes:
+    """Exact bytes of the trace, history and metrics writers."""
+    HEADER = ("t,X,Y,phi,V,beta,r,delta_cmd,F_xr_cmd,e,d_phi,d_psi,e_la,R_eq,"
+              "delta_eq_hat,V_eq,beta_eq,r_eq,F_xr_eq,mpc_cost,dep_converged\n")
+
+    def test_two_row_trace(self, tmp_path):
+        second = [-1 / 3] * len(TRACE_COLUMNS)
+        second[:3] = [0.1, 123456.789012345, 1e-20]
+        second[-1] = -0.0
+        _hand_trace([range(len(TRACE_COLUMNS)), second]).to_csv(tmp_path / "t.csv")
+        assert (tmp_path / "t.csv").read_text() == (
+            self.HEADER
+            + "0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20\n"
+            + "0.1,123456.789012,1e-20," + "-0.333333333333," * 17 + "-0\n")
+
+    def test_empty_and_failed_traces(self, tmp_path):
+        f = tmp_path / "t.csv"
+        _hand_trace([]).to_csv(f)
+        assert f.read_text() == self.HEADER
+        _hand_trace([], failed=True, reason="lost\nat step 0").to_csv(f)
+        assert f.read_text() == self.HEADER + "# failed: lost at step 0\n"
+        loaded = EpisodeTrace.from_csv(f)
+        assert len(loaded) == 0
+        assert loaded.failed and loaded.failure_reason == "lost at step 0"
+
+    def test_three_row_history(self, tmp_path):
+        thetas = np.array([[-0.52, 1.0, 0.0], [-0.5, 0.25, 1 / 3], [0.4, 2.0, -5.0]])
+        costs = np.array([1.5, 10.0, -2.0625])
+        bo = BoResult(theta_star=thetas[2], best_cost=-2.0625, thetas=thetas,
+                      costs=costs, best_so_far=np.array([1.5, 1.5, -2.0625]))
+        TuneResult(theta_star=thetas[2], bo=bo, mode="almpc",
+                   history_thetas=thetas).history_csv(tmp_path / "h.csv")
+        assert (tmp_path / "h.csv").read_text() == (
+            "iteration,delta_eq,w_r,w_e,cost,best_so_far\n"
+            "0,-0.52,1,0,1.5,1.5\n"
+            "1,-0.5,0.25,0.333333333333,10,1.5\n"
+            "2,0.4,2,-5,-2.0625,-2.0625\n")
+
+    def test_labelled_metrics(self, tmp_path):
+        row = np.zeros(len(TRACE_COLUMNS))
+        trace = _hand_trace([row, row], failed=True, reason="x")
+        trace.columns["e"][:] = [3.0, -4.0]
+        trace.columns["V"][:] = [1.0, 1.0]
+        report([trace], ["run"], out_dir=tmp_path)
+        assert (tmp_path / "metrics.csv").read_text() == (
+            "label,rmse_e,rmse_dpsi,rmse_V,rmse_beta,rmse_r,rmse_delta,"
+            "rmse_F,max_abs_e,cost_J\n"
+            "run,3.53553390593,0,1,0,0,0,0,4,10\n")
 
 
 class TestReport:
@@ -201,6 +261,19 @@ class TestScenarioIo:
         with pytest.raises(ConfigError):
             scenario_from_file(f)
 
+    @pytest.mark.parametrize("mutate", [
+        lambda d: d["limits"].update(d_F_max=1.0),
+        lambda d: d["path"].update(kind="spiral"),
+        lambda d: d.update(apt=[1.0, 0.0]),
+        lambda d: d.pop("cost"),
+    ], ids=["unknown-key", "unknown-path-kind", "section-not-a-dict",
+            "missing-section"])
+    def test_malformed_section_rejected(self, mutate):
+        data = json.loads(json.dumps(scenario_to_dict(case_scenario(case=1))))
+        mutate(data)
+        with pytest.raises(ConfigError):
+            scenario_from_dict(data)
+
     def test_invalid_mode_rejected(self):
         with pytest.raises(ConfigError):
             case_scenario(case=1, mode="zigzag")
@@ -220,6 +293,13 @@ class TestTune:
         # pinned components stay at the defaults in dep mode
         assert np.allclose(res.history_thetas[:, 1], 1.0)
         assert np.allclose(res.history_thetas[:, 2], 0.0)
+
+    def test_pinned_weights_follow_scenario(self):
+        sc = case_scenario(case=1, mode="dep", T=3.0,
+                           apt=AptParams(w_r=0.8, w_e=0.5))
+        res = tune(sc, init=2, budget=3, seed=5)
+        assert np.all(res.history_thetas[:, 1] == 0.8)
+        assert np.all(res.history_thetas[:, 2] == 0.5)
 
     def test_history_csv_deterministic(self, tmp_path):
         sc = case_scenario(case=1, mode="dep", T=6.0)

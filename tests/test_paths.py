@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from driftmpc.errors import ConfigError, OffPathError
-from driftmpc.paths import (ClothoidSpec, build_clothoid, build_eight_path,
-                            project, tracking_errors)
+from driftmpc.paths import (ClothoidSpec, PathTable, build_clothoid,
+                            build_eight_path, errors_from_projection, project)
 from driftmpc.vehicle import Pose
 
 STOCK = ClothoidSpec(x0=0.0, y0=0.0, theta0=0.0, kappa=1 / 40,
@@ -65,6 +65,15 @@ class TestBuildClothoid:
     def test_invalid_spacing(self):
         with pytest.raises(ConfigError):
             build_clothoid(STOCK, 0.0)
+
+
+def test_path_csv_bytes(tmp_path):
+    table = PathTable(s=np.array([0.0, 0.25]), x=np.array([0.0, 0.2499]),
+                      y=np.array([0.0, 1 / 3]), phi=np.array([0.0, -1e-20]),
+                      kappa=np.array([0.025, 0.025]), spacing=0.25)
+    table.to_csv(tmp_path / "path.csv")
+    assert (tmp_path / "path.csv").read_text() == (
+        "s,X,Y,phi_r,kappa\n0,0,0,0,0.025\n0.25,0.2499,0.333333333333,-1e-20,0.025\n")
 
 
 class TestBuildEight:
@@ -156,8 +165,8 @@ class TestProject:
 class TestTrackingErrors:
     def test_on_path_aligned_all_zero(self):
         t = build_clothoid(STOCK, 0.25)
-        errs = tracking_errors(Pose(float(t.x[80]), float(t.y[80]),
-                                    float(t.phi[80])), 0.0, t, 12.0)
+        pose = Pose(float(t.x[80]), float(t.y[80]), float(t.phi[80]))
+        errs = errors_from_projection(project(pose, t), pose, 0.0, 12.0)
         assert abs(errs.e) < 1e-9
         assert abs(errs.d_phi) < 1e-9
         assert abs(errs.d_psi) < 1e-9
@@ -168,7 +177,7 @@ class TestTrackingErrors:
         i = 80
         pose = Pose(float(t.x[i]), float(t.y[i]),
                     float(t.phi[i]) + math.pi / 6)
-        errs = tracking_errors(pose, 0.0, t, 12.0)
+        errs = errors_from_projection(project(pose, t), pose, 0.0, 12.0)
         assert math.isclose(errs.d_psi, math.pi / 6, abs_tol=1e-9)
         assert math.isclose(errs.e_la, errs.e + 12.0 * math.sin(math.pi / 6),
                             abs_tol=1e-12)
@@ -177,21 +186,22 @@ class TestTrackingErrors:
     def test_pure_offset(self):
         straight = build_clothoid(
             ClothoidSpec(kappa=0.0, kappa_prime=0.0, length=50.0), 0.25)
-        errs = tracking_errors(Pose(25.0, -1.0, 0.0), 0.0, straight, 12.0)
+        pose = Pose(25.0, -1.0, 0.0)
+        errs = errors_from_projection(project(pose, straight), pose, 0.0, 12.0)
         assert math.isclose(errs.e_la, -1.0, abs_tol=1e-9)
 
     def test_sideslip_enters_course_error(self):
         t = build_clothoid(STOCK, 0.25)
         i = 80
         pose = Pose(float(t.x[i]), float(t.y[i]), float(t.phi[i]))
-        errs = tracking_errors(pose, -0.4, t, 12.0)
+        errs = errors_from_projection(project(pose, t), pose, -0.4, 12.0)
         assert math.isclose(errs.d_psi, errs.d_phi - 0.4, abs_tol=1e-12)
 
     def test_heading_rotation_increases_dphi(self):
         t = build_clothoid(STOCK, 0.25)
         i = 80
         base = float(t.phi[i])
-        vals = [tracking_errors(Pose(float(t.x[i]), float(t.y[i]),
-                                     base + d), 0.0, t, 12.0).d_phi
-                for d in (-0.3, 0.0, 0.3)]
+        poses = [Pose(float(t.x[i]), float(t.y[i]), base + d) for d in (-0.3, 0.0, 0.3)]
+        vals = [errors_from_projection(project(p, t), p, 0.0, 12.0).d_phi
+                for p in poses]
         assert vals[0] < vals[1] < vals[2]
