@@ -1,0 +1,43 @@
+#!/usr/bin/env bash
+# Run a fixed set of driftmpc CLI commands and keep every file and every
+# stdout they produce under OUTDIR.  Run it on two trees and `diff -r` the
+# two output directories to check that a change leaves the outputs alone.
+#
+#     scripts/cli_outputs.sh OUTDIR
+#
+# The package is taken from the src/ directory next to this script.
+set -euo pipefail
+
+if [ $# -ne 1 ]; then
+    echo "usage: $0 OUTDIR" >&2
+    exit 2
+fi
+root=$(cd "$(dirname "$0")/.." && pwd)
+mkdir -p "$1"
+cd "$1"
+export PYTHONPATH="$root/src${PYTHONPATH:+:$PYTHONPATH}"
+
+# run NAME [EXPECTED_STATUS] -- ARGS...: stdout goes to NAME.txt
+run() {
+    local name=$1 want=0
+    shift
+    if [ "$1" != "--" ]; then want=$1; shift; fi
+    shift
+    local got=0
+    python3 -m driftmpc.cli "$@" > "$name.txt" || got=$?
+    if [ "$got" -ne "$want" ]; then
+        echo "$name: exit status $got, expected $want" >&2
+        exit 1
+    fi
+}
+
+run path_clothoid -- path --kind clothoid --out path_clothoid.csv
+run path_eight30 -- path --kind eight --radius 30 --out path_eight30.csv
+run dep -- dep --delta -0.52 --radius 40
+run sweep_a -- dep --delta -0.9 --radius 10 --sweep --out sweep_a.csv
+run sweep_b -- dep --delta -0.1 --radius 100 --sweep --out sweep_b.csv
+run sim_ppt -- simulate --case 1 --mode ppt --out sim_ppt
+run sim_dep -- simulate --case 1 --mode dep --theta=-0.49,0.99,3.6 --out sim_dep
+run sim_case2 1 -- simulate --case 2 --mode almpc --theta=-0.473,0.993,2.90 --out sim_case2
+run tune -- tune --case 1 --mode almpc --init 6 --budget 12 --seed 3 --out tune
+run report -- report --traces sim_ppt/trace_ppt.csv sim_dep/trace_dep.csv --out report

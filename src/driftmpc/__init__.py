@@ -7,14 +7,13 @@ from .bo import (BoResult, CostConfig, ThetaBounds, acquire_next, bo_loop,
                  episode_cost, expected_improvement, failed_episode_cost)
 from .equilibrium import DriftEquilibrium, dep_sweep, solve_dep
 from .gp import GpDataset, GpModel, gp_fit, gp_predict, matern52
-from .harness import (EightSpec, EpisodeTrace, MetricsReport, Scenario,
-                      TuneResult, case_scenario, metrics_from_trace, report,
-                      run_episode, scenario_from_file, scenario_to_file, tune,
-                      tune_objective)
+from .harness import (EpisodeTrace, MetricsReport, Scenario, TuneResult,
+                      case_scenario, metrics_from_trace, report, run_episode,
+                      scenario_from_file, scenario_to_file, tune, tune_objective)
 from .mpc import (AugmentedModel, LinearModel, MpcConfig, MpcSolution, augment,
                   linearize, solve_mpc)
-from .paths import (ClothoidSpec, PathTable, TrackingErrors, build_clothoid,
-                    build_eight_path, project)
+from .paths import (ClothoidSpec, EightSpec, PathTable, TrackingErrors,
+                    build_clothoid, build_eight_path, project)
 from .qp import QpResult, solve_qp
 from .tracking import AptParams, apt_radius, default_radius_grid, ppt_radius, steer_feedback
 from .vehicle import (ControlInput, ControlLimits, Pose, VehicleParams,

@@ -14,6 +14,7 @@ from .errors import ConfigError
 from .gp import GpDataset, GpModel, gp_fit, gp_predict, gp_predict_batch
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+REFIT_EVERY = 5  # bo_loop searches GP hyperparameters every this many steps
 
 
 @dataclass(frozen=True)
@@ -155,8 +156,7 @@ class BoResult:
 
 
 def bo_loop(runner, bounds: ThetaBounds, m: int, N: int, seed: int,
-            init_thetas=None, refit_every: int = 5,
-            noise_var: float | None = None) -> BoResult:
+            init_thetas=None, noise_var: float | None = None) -> BoResult:
     """Space-filling initialization followed by the EI acquisition cycle.
 
     runner maps a parameter vector to its observed episode cost.  Optional
@@ -188,7 +188,7 @@ def bo_loop(runner, bounds: ThetaBounds, m: int, N: int, seed: int,
     n_fallback = 0
     for n in range(m, N):
         dataset = GpDataset(np.array(thetas), np.array(costs), noise_var=noise_var)
-        refit = (n - m) % refit_every == 0
+        refit = (n - m) % REFIT_EVERY == 0
         model = gp_fit(dataset, bounds.lo, bounds.hi, seed=seed,
                        hypers=None if refit else hypers)
         hypers = (model.lengthscales, model.sigma_eta2, model.noise_var)

@@ -12,10 +12,11 @@ import numpy as np
 
 from .equilibrium import dep_sweep, solve_dep, sweep_to_csv
 from .errors import DriftMpcError
-from .harness import (EpisodeTrace, Scenario, case_scenario, report,
-                      run_episode, scenario_from_file, scenario_to_file, tune)
-from .paths import ClothoidSpec, build_clothoid, build_eight_path
-from .presets import default_vehicle_params
+from .harness import (FREE_COMPONENTS, EpisodeTrace, Scenario, case_scenario,
+                      report, run_episode, scenario_from_file, scenario_to_file,
+                      tune)
+from .paths import PATH_KINDS, SPACING, ClothoidSpec, EightSpec
+from .vehicle import MU_NOMINAL, default_vehicle_params
 
 
 def _cmd_dep(args) -> int:
@@ -38,10 +39,8 @@ def _cmd_dep(args) -> int:
 
 
 def _cmd_path(args) -> int:
-    if args.kind == "clothoid":
-        table = build_clothoid(ClothoidSpec(), args.spacing)
-    else:
-        table = build_eight_path(args.radius, args.spacing)
+    spec = EightSpec(args.radius) if args.kind == "eight" else ClothoidSpec()
+    table = spec.build(args.spacing)
     table.to_csv(args.out)
     print(f"wrote {len(table)} samples -> {args.out}")
     return 0
@@ -110,22 +109,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dep", help="solve or sweep drift equilibria")
     p.add_argument("--delta", type=float, required=True, help="steering angle [rad]")
     p.add_argument("--radius", type=float, required=True, help="signed radius [m]")
-    p.add_argument("--mu", type=float, default=1.0)
+    p.add_argument("--mu", type=float, default=MU_NOMINAL)
     p.add_argument("--sweep", action="store_true")
     p.add_argument("--out", default="dep_sweep.csv")
     p.set_defaults(func=_cmd_dep)
 
     p = sub.add_parser("path", help="export a reference path table")
-    p.add_argument("--kind", choices=["clothoid", "eight"], default="clothoid")
+    p.add_argument("--kind", choices=list(PATH_KINDS), default="clothoid")
     p.add_argument("--radius", type=float, default=40.0, help="eight lobe radius [m]")
-    p.add_argument("--spacing", type=float, default=0.25)
+    p.add_argument("--spacing", type=float, default=SPACING)
     p.add_argument("--out", default="path.csv")
     p.set_defaults(func=_cmd_path)
 
     p = sub.add_parser("simulate", help="run one closed-loop episode")
     p.add_argument("--scenario", help="scenario JSON file")
     p.add_argument("--case", type=int, default=1, choices=[1, 2])
-    p.add_argument("--mode", choices=["ppt", "apt", "dep", "almpc"], default=None)
+    p.add_argument("--mode", choices=list(FREE_COMPONENTS), default=None)
     p.add_argument("--theta", type=_parse_theta,
                    help="delta_eq,w_r,w_e (required for apt/dep/almpc)")
     p.add_argument("--out", default="out")
@@ -134,7 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tune", help="learn parameters with Bayesian optimization")
     p.add_argument("--scenario", help="scenario JSON file")
     p.add_argument("--case", type=int, default=1, choices=[1, 2])
-    p.add_argument("--mode", choices=["apt", "dep", "almpc"], default=None)
+    p.add_argument("--mode", default=None,
+                   choices=[mode for mode, free in FREE_COMPONENTS.items() if free])
     p.add_argument("--init", type=int, default=20)
     p.add_argument("--budget", type=int, default=320)
     p.add_argument("--seed", type=int, default=0)
@@ -143,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="compare episode trace CSVs")
     p.add_argument("--traces", nargs="+", required=True)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default=None, help="directory to write metrics.csv to")
     p.set_defaults(func=_cmd_report)
     return parser
 

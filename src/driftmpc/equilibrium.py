@@ -20,6 +20,8 @@ from .vehicle import ControlInput, VehicleParams, VehicleState, dynamics, static
 RESIDUAL_TOL = 1e-8
 MAX_ITER = 100
 DRIFT_BETA_MIN = 0.2  # rad, separates the drift saddle from grip solutions
+R_EQ_MIN = 5.0    # m, smallest drift radius magnitude
+R_EQ_MAX = 500.0  # m, largest drift radius magnitude
 
 
 @dataclass(frozen=True)
@@ -119,25 +121,18 @@ def solve_dep(delta_eq: float, R_eq: float, params: VehicleParams,
               seed=None) -> DriftEquilibrium:
     """Solve for the drift equilibrium at a fixed steering angle and radius.
 
-    seed may be a single (V, beta, F_xr) guess or a sequence of guesses;
-    the default seed (and a couple of variations) are always appended as
-    fallbacks.  Raises NoConvergenceError if no seed converges and
-    GripBranchError if every converged solution is on the grip branch.
+    seed is an optional (V, beta, F_xr) guess; the default seed (and a
+    couple of variations) are always tried after it.  Raises
+    NoConvergenceError if no seed converges and GripBranchError if every
+    converged solution is on the grip branch.
     """
-    if not 5.0 <= abs(R_eq) <= 500.0:
-        raise ConfigError(f"|R_eq|={abs(R_eq):.2f} m outside [5, 500] m")
-    seeds = []
-    if seed is not None:
-        first = seed[0] if isinstance(seed, (list, tuple)) and \
-            isinstance(seed[0], (list, tuple, np.ndarray)) else None
-        if first is not None:
-            seeds.extend(tuple(s) for s in seed)
-        else:
-            seeds.append(tuple(seed))
+    if not R_EQ_MIN <= abs(R_eq) <= R_EQ_MAX:
+        raise ConfigError(
+            f"|R_eq|={abs(R_eq):.2f} m outside [{R_EQ_MIN:g}, {R_EQ_MAX:g}] m")
     base = default_seed(R_eq, params)
-    seeds.append(base)
-    seeds.append((base[0] * 1.6, base[1] * 1.4, base[2]))
-    seeds.append((base[0] * 0.6, base[1] * 0.7, base[2] * 1.3))
+    seeds = ([] if seed is None else [seed]) + [
+        base, (base[0] * 1.6, base[1] * 1.4, base[2]),
+        (base[0] * 0.6, base[1] * 0.7, base[2] * 1.3)]
     converged_grip = False
     for s in seeds:
         z = _newton(s, delta_eq, R_eq, params)
@@ -180,9 +175,8 @@ def dep_sweep(delta_grid, R_grid, params: VehicleParams) -> list[SweepCell]:
         warm = col_seed
         col_first = None
         for R in R_grid:
-            seeds = [warm] if warm is not None else None
             try:
-                eq = solve_dep(float(delta), float(R), params, seed=seeds)
+                eq = solve_dep(float(delta), float(R), params, seed=warm)
                 cells.append(SweepCell(float(delta), float(R), eq, True, "ok"))
                 warm = (eq.V_eq, eq.beta_eq, eq.F_xr_eq)
                 if col_first is None:

@@ -18,6 +18,7 @@ from .errors import ConfigError
 
 SQRT5 = math.sqrt(5.0)
 MAX_JITTER_FACTOR = 1e-6
+N_STARTS = 8  # hyperparameter-search starts; the best half are polished
 
 
 @dataclass(frozen=True)
@@ -77,18 +78,14 @@ class GpModel:
 
 
 def _merge_duplicates(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Average observations taken at identical inputs."""
+    """Average observations taken at identical inputs, in first-seen order."""
     seen: dict[bytes, list[int]] = {}
     for i, row in enumerate(X):
         seen.setdefault(row.tobytes(), []).append(i)
-    if all(len(v) == 1 for v in seen.values()):
+    if len(seen) == len(X):
         return X, y
-    keep, vals = [], []
-    for key, idxs in seen.items():
-        keep.append(idxs[0])
-        vals.append(float(np.mean(y[idxs])))
-    keep_idx = np.array(sorted(range(len(keep)), key=lambda i: keep[i]))
-    return X[np.array(keep)[keep_idx]], np.array(vals)[keep_idx]
+    groups = list(seen.values())
+    return X[[g[0] for g in groups]], np.array([float(np.mean(y[g])) for g in groups])
 
 
 def _factor(K: np.ndarray, noise_var: float, sigma_eta2: float):
@@ -120,7 +117,7 @@ def _neg_lml(log_params: np.ndarray, X: np.ndarray, y: np.ndarray,
     return float(0.5 * y @ alpha + 0.5 * logdet + 0.5 * len(y) * math.log(2 * math.pi))
 
 
-def gp_fit(dataset: GpDataset, lo, hi, *, n_starts: int = 8, seed: int = 0,
+def gp_fit(dataset: GpDataset, lo, hi, *, seed: int = 0,
            hypers: tuple | None = None) -> GpModel:
     """Fit the GP: normalize inputs, choose hyperparameters, cache the factor.
 
@@ -156,14 +153,14 @@ def gp_fit(dataset: GpDataset, lo, hi, *, n_starts: int = 8, seed: int = 0,
         starts = [np.array([math.log(0.3)] * d + [math.log(var_y)]
                            + ([] if dataset.noise_var is not None
                               else [math.log(1e-4 * var_y)]))]
-        for _ in range(n_starts - 1):
+        for _ in range(N_STARTS - 1):
             starts.append(np.array([rng.uniform(b[0], b[1]) for b in bounds]))
         # rank the starts by their raw likelihood and polish only the best
         # half; the rest rarely win and double the fitting cost
         ranked = sorted(starts,
                         key=lambda x0: _neg_lml(x0, X, y, dataset.noise_var))
         best = None
-        for x0 in ranked[:max(n_starts // 2, 1)]:
+        for x0 in ranked[:N_STARTS // 2]:
             res = minimize(_neg_lml, x0, args=(X, y, dataset.noise_var),
                            method="L-BFGS-B", bounds=bounds,
                            options={"maxiter": 60, "ftol": 1e-10})

@@ -16,18 +16,21 @@ import numpy as np
 
 from .bo import (BoResult, CostConfig, ThetaBounds, bo_loop, episode_cost,
                  failed_episode_cost)
-from .equilibrium import solve_dep
+from .equilibrium import R_EQ_MAX, solve_dep
 from .errors import (ConfigError, DriftMpcError, GripBranchError,
                      NoConvergenceError, OffPathError)
 from .mpc import MpcConfig, augment, linearize, solve_mpc
-from .paths import (ClothoidSpec, PathTable, build_clothoid, build_eight_path,
+from .paths import (PATH_KINDS, ClothoidSpec, EightSpec, PathTable,
                     errors_from_projection, project)
-from .presets import MU_NOMINAL, MU_SLIPPERY, default_limits, default_vehicle_params
 from .tracking import AptParams, apt_radius, default_radius_grid, ppt_radius, steer_feedback
-from .vehicle import (ControlInput, ControlLimits, Pose, VehicleParams,
+from .vehicle import (MU_NOMINAL, MU_SLIPPERY, ControlInput, ControlLimits, Pose,
+                      VehicleParams, default_limits, default_vehicle_params,
                       static_loads, step, wrap_angle)
 
-MODES = ("ppt", "apt", "dep", "almpc")
+# mode -> components of theta = (delta_eq, w_r, w_e) it learns; the rest
+# stay at the scenario's apt values.  A mode runs the adaptive radius law
+# exactly when it learns the law's weights.
+FREE_COMPONENTS = {"ppt": [], "apt": [1, 2], "dep": [0], "almpc": [0, 1, 2]}
 PLANT_SUBSTEPS = 10
 E_FAIL = 10.0          # m, lateral blow-up threshold
 V_MAX_SANE = 40.0      # m/s
@@ -38,11 +41,6 @@ TRACE_COLUMNS = ["t", "X", "Y", "phi", "V", "beta", "r", "delta_cmd",
                  "delta_eq_hat", "V_eq", "beta_eq", "r_eq", "F_xr_eq",
                  "mpc_cost", "dep_converged"]
 FAILED_PREFIX = "# failed: "  # trailing trace-CSV line of a failed episode
-
-
-@dataclass(frozen=True)
-class EightSpec:
-    radius: float = 40.0  # lobe radius [m]
 
 
 @dataclass(frozen=True)
@@ -59,8 +57,8 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}")
+        if self.mode not in FREE_COMPONENTS:
+            raise ConfigError(f"mode must be one of {tuple(FREE_COMPONENTS)}")
         n = self.T / self.mpc.dT
         if abs(n - round(n)) > 1e-9 or round(n) < 2:
             raise ConfigError("T must be an integral multiple of dT (>= 2 steps)")
@@ -69,10 +67,8 @@ class Scenario:
     def n_steps(self) -> int:
         return int(round(self.T / self.mpc.dT))
 
-    def build_path(self, spacing: float = 0.25) -> PathTable:
-        if isinstance(self.path, EightSpec):
-            return build_eight_path(self.path.radius, spacing)
-        return build_clothoid(self.path, spacing)
+    def build_path(self) -> PathTable:
+        return self.path.build()
 
 
 @dataclass
@@ -148,22 +144,24 @@ def tune_objective(trace: EpisodeTrace, metrics: MetricsReport,
     return metrics.cost_J
 
 
-def _theta_for_mode(mode: str, theta, apt: AptParams) -> tuple[float, float, float]:
-    """Resolve (delta_eq_base, w_r, w_e) from the mode and learned vector."""
+def _apt_theta(apt: AptParams) -> np.ndarray:
+    return np.array([apt.delta_eq_base, apt.w_r, apt.w_e])
+
+
+def _theta_for_mode(mode: str, theta, apt: AptParams) -> list[float]:
+    """Resolve (delta_eq_base, w_r, w_e): the apt values with the mode's
+    free components taken from the learned vector."""
+    free = FREE_COMPONENTS[mode]
+    full = _apt_theta(apt)
     if theta is None:
-        if mode != "ppt":
+        if free:
             raise ConfigError(f"mode '{mode}' requires a theta vector")
-        return apt.delta_eq_base, apt.w_r, apt.w_e
+        return full.tolist()
     t = np.asarray(theta, float).ravel()
     if len(t) != 3:
         raise ConfigError("theta must have 3 components (delta_eq, w_r, w_e)")
-    if mode == "ppt":
-        return apt.delta_eq_base, apt.w_r, apt.w_e
-    if mode == "apt":
-        return apt.delta_eq_base, float(t[1]), float(t[2])
-    if mode == "dep":
-        return float(t[0]), apt.w_r, apt.w_e
-    return float(t[0]), float(t[1]), float(t[2])  # almpc
+    full[free] = t[free]
+    return full.tolist()
 
 
 def run_episode(scenario: Scenario, theta=None,
@@ -189,19 +187,16 @@ def run_episode(scenario: Scenario, theta=None,
     _, F_zr_plant = static_loads(plant_params)
     plant_force_cap = plant_params.mu * F_zr_plant
     radius_grid = default_radius_grid()
-    use_apt_law = mode in ("apt", "almpc")
+    use_apt_law = 1 in FREE_COMPONENTS[mode]
 
     # initial condition: path origin, course aligned with the tangent, at the
     # stock equilibrium for the initial path radius
-    if isinstance(scenario.path, EightSpec):
-        x0, y0, theta0 = path.x[0], path.y[0], path.phi[0]
-        R0 = scenario.path.radius
-    else:
-        x0, y0, theta0 = scenario.path.x0, scenario.path.y0, scenario.path.theta0
-        R0 = 1.0 / scenario.path.kappa if scenario.path.kappa != 0 else 500.0
+    kappa0 = float(path.kappa[0])
+    R0 = 1.0 / kappa0 if kappa0 != 0 else R_EQ_MAX
     eq0 = solve_dep(scenario.apt.delta_eq_base, R0, model_params)
     state = eq0.state()
-    pose = Pose(float(x0), float(y0), wrap_angle(float(theta0) - eq0.beta_eq))
+    pose = Pose(float(path.x[0]), float(path.y[0]),
+                wrap_angle(float(path.phi[0]) - eq0.beta_eq))
     u_prev = np.array([eq0.delta_eq, eq0.F_xr_eq])
     eq = eq0
 
@@ -249,7 +244,8 @@ def run_episode(scenario: Scenario, theta=None,
             dep_ok = False  # hold the previous equilibrium
             dep_failures += 1
             if dep_failures > DEP_FAIL_FRACTION * n_steps:
-                failed, reason = True, f"equilibrium failures exceed 20% at step {k}"
+                failed, reason = True, (f"equilibrium failures exceed "
+                                        f"{DEP_FAIL_FRACTION:.0%} at step {k}")
                 break
 
         try:
@@ -287,9 +283,6 @@ def run_episode(scenario: Scenario, theta=None,
 # ---------------------------------------------------------------------------
 # tuning
 
-FREE_COMPONENTS = {"apt": [1, 2], "dep": [0], "almpc": [0, 1, 2]}
-
-
 @dataclass
 class TuneResult:
     theta_star: np.ndarray   # full 3-vector with pinned components filled in
@@ -306,8 +299,7 @@ class TuneResult:
 
 
 def tune(scenario: Scenario, init: int = 20, budget: int = 320,
-         seed: int | None = None, bounds: ThetaBounds | None = None,
-         extra_init=None) -> TuneResult:
+         seed: int | None = None, extra_init=None) -> TuneResult:
     """Learn the free parameters of the scenario's mode with the BO loop.
 
     The mode fixes which components of (delta_eq, w_r, w_e) are free; the
@@ -318,15 +310,14 @@ def tune(scenario: Scenario, init: int = 20, budget: int = 320,
     Each evaluation is scored by tune_objective, so failed episodes are
     graded by the steps they survived.  Deterministic per seed.
     """
-    if scenario.mode not in FREE_COMPONENTS:
-        raise ConfigError("tuning requires mode apt, dep, or almpc")
+    free = FREE_COMPONENTS[scenario.mode]
+    if not free:
+        raise ConfigError(f"mode '{scenario.mode}' learns nothing to tune")
     if seed is None:
         seed = scenario.seed
-    full_bounds = bounds if bounds is not None else ThetaBounds()
-    free = FREE_COMPONENTS[scenario.mode]
+    full_bounds = ThetaBounds()
     sub_bounds = ThetaBounds(lo=full_bounds.lo[free], hi=full_bounds.hi[free])
-    apt = scenario.apt
-    pinned = np.array([apt.delta_eq_base, apt.w_r, apt.w_e])
+    pinned = _apt_theta(scenario.apt)
     path = scenario.build_path()
 
     def expand(theta_free: np.ndarray) -> np.ndarray:
@@ -357,7 +348,8 @@ def tune(scenario: Scenario, init: int = 20, budget: int = 320,
 def report(traces: list[EpisodeTrace], labels: list[str],
            cost_cfg: CostConfig | None = None,
            out_dir=None) -> tuple[str, list[MetricsReport]]:
-    """Comparison table of the RMSE metrics, one row per labelled trace."""
+    """Comparison table of the RMSE metrics, one row per labelled trace;
+    with out_dir, the same rows are also written to out_dir/metrics.csv."""
     if len(traces) != len(labels):
         raise ConfigError("need one label per trace")
     if len({len(t) for t in traces}) > 1:
@@ -374,8 +366,6 @@ def report(traces: list[EpisodeTrace], labels: list[str],
     table = "\n".join(lines)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        for label, trace in zip(labels, traces):
-            trace.to_csv(os.path.join(out_dir, f"trace_{label}.csv"))
         np.savetxt(os.path.join(out_dir, "metrics.csv"),
                    np.array(rows, object).reshape(-1, len(header)),
                    fmt=["%s"] + ["%.12g"] * (len(header) - 1), delimiter=",",
@@ -386,7 +376,6 @@ def report(traces: list[EpisodeTrace], labels: list[str],
 # ---------------------------------------------------------------------------
 # scenario (de)serialization
 
-PATH_KINDS = {"clothoid": ClothoidSpec, "eight": EightSpec}
 SECTIONS = {"plant_params": VehicleParams, "model_params": VehicleParams,
             "limits": ControlLimits, "mpc": MpcConfig, "apt": AptParams,
             "cost": CostConfig}

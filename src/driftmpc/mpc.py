@@ -52,43 +52,35 @@ class MpcConfig:
             raise ConfigError("dT must be positive")
 
 
-def _f(x: np.ndarray, u: np.ndarray, params: VehicleParams) -> np.ndarray:
-    return np.array(dynamics(VehicleState(x[0], x[1], x[2]),
-                             ControlInput(u[0], u[1]), params))
+def _f(z: np.ndarray, params: VehicleParams) -> np.ndarray:
+    return np.array(dynamics(VehicleState(z[0], z[1], z[2]),
+                             ControlInput(z[3], z[4]), params))
 
 
 def linearize(dep: DriftEquilibrium, params: VehicleParams,
               dT: float) -> LinearModel:
     """Discrete affine model at the equilibrium via central differences.
 
-    Continuous Jacobians use central differences with a scaled step; the
-    discretization is first-order hold, A = I + A_c dT, B = B_c dT.  The
+    Continuous Jacobians use central differences over the columns of (x, u);
+    the discretization is first-order hold, A = I + A_c dT, B = B_c dT.  The
     offset d makes the equilibrium an exact fixed point.
     """
-    x_eq = np.array([dep.V_eq, dep.beta_eq, dep.r_eq])
-    u_eq = np.array([dep.delta_eq, dep.F_xr_eq])
-    A_c = np.empty((3, 3))
-    B_c = np.empty((3, 2))
-    for j in range(3):
-        h = 1e-5 * (1.0 + abs(x_eq[j]))
-        xp = x_eq.copy()
-        xp[j] += h
-        xm = x_eq.copy()
-        xm[j] -= h
-        A_c[:, j] = (_f(xp, u_eq, params) - _f(xm, u_eq, params)) / (2.0 * h)
-    for j in range(2):
-        h = 1e-5 * (1.0 + abs(u_eq[j]))
-        up = u_eq.copy()
-        up[j] += h
-        um = u_eq.copy()
-        um[j] -= h
+    z_eq = dep.as_array()
+    jac = np.empty((3, 5))
+    for j in range(5):
+        h = 1e-5 * (1.0 + abs(z_eq[j]))
+        zp = z_eq.copy()
+        zp[j] += h
+        zm = z_eq.copy()
+        zm[j] -= h
         try:
-            B_c[:, j] = (_f(x_eq, up, params) - _f(x_eq, um, params)) / (2.0 * h)
+            jac[:, j] = (_f(zp, params) - _f(zm, params)) / (2.0 * h)
         except FrictionCircleError:
             # equilibrium force sits at the circle cap; difference one-sided
-            B_c[:, j] = (_f(x_eq, u_eq, params) - _f(x_eq, um, params)) / h
-    A = np.eye(3) + A_c * dT
-    B = B_c * dT
+            jac[:, j] = (_f(z_eq, params) - _f(zm, params)) / h
+    x_eq, u_eq = z_eq[:3], z_eq[3:]
+    A = np.eye(3) + jac[:, :3] * dT
+    B = jac[:, 3:] * dT
     d = x_eq - A @ x_eq - B @ u_eq
     return LinearModel(A=A, B=B, d=d)
 
@@ -119,20 +111,20 @@ class MpcSolution:
 
 def _condense(model: AugmentedModel, xi_now: np.ndarray, xi_eq: np.ndarray,
               cfg: MpcConfig):
-    """Stack the horizon: deviation_k = S w + c_k with w the increments."""
+    """Stack the horizon: deviation_k = S w + c_k with w the increments;
+    S is block Toeplitz, block (k, j) = A_hat^(k-j) B_hat for j <= k."""
     n_p, n_c = cfg.N_p, cfg.N_c
     powers = [np.eye(5)]
-    for _ in range(n_p):
-        powers.append(model.A_hat @ powers[-1])
-    pb = [powers[i] @ model.B_hat for i in range(n_p)]
-    S = np.zeros((5 * n_p, 2 * n_c))
     c = np.empty(5 * n_p)
     acc = np.zeros(5)
     for k in range(1, n_p + 1):
+        powers.append(model.A_hat @ powers[-1])
         acc = model.A_hat @ acc + model.D_hat
         c[5 * (k - 1):5 * k] = powers[k] @ xi_now + acc - xi_eq
-        for j in range(1, min(k, n_c) + 1):
-            S[5 * (k - 1):5 * k, 2 * (j - 1):2 * j] = pb[k - j]
+    # blocks[i] = A_hat^(i-1) B_hat, with the zero block at i = 0
+    blocks = np.stack([np.zeros((5, 2))] + [p @ model.B_hat for p in powers[:n_p]])
+    lag = np.arange(1, n_p + 1)[:, None] - np.arange(n_c)[None, :]
+    S = blocks[np.maximum(lag, 0)].transpose(0, 2, 1, 3).reshape(5 * n_p, 2 * n_c)
     return S, c
 
 
@@ -187,21 +179,3 @@ def solve_mpc(xi_now: np.ndarray, dep: DriftEquilibrium, model: AugmentedModel,
     return MpcSolution(u_next=ControlInput(float(u_next[0]), float(u_next[1])),
                        cost=cost, delta_u=du1, kkt=kkt,
                        qp_iterations=res.iterations, n_active=len(res.active))
-
-
-def predict_trajectory(model: AugmentedModel, xi_now: np.ndarray,
-                       increments: np.ndarray, n_p: int) -> np.ndarray:
-    """Roll the augmented model forward under an increment sequence.
-
-    increments is (N_c, 2); steps beyond it hold the input.  Returns the
-    (n_p, 5) stacked trajectory xi_1..xi_np, for cross-checking against the
-    condensed prediction.
-    """
-    xi = np.array(xi_now, dtype=float)
-    out = np.empty((n_p, 5))
-    n_c = len(increments)
-    for k in range(n_p):
-        du = increments[k] if k < n_c else np.zeros(2)
-        xi = model.A_hat @ xi + model.B_hat @ du + model.D_hat
-        out[k] = xi
-    return out

@@ -1,5 +1,5 @@
-"""Reference-path geometry: clothoid and figure-eight tables, projection,
-and the tracking-error quantities fed to the radius/steering laws.
+"""Reference-path geometry: clothoid and figure-eight specs and tables,
+projection, and the tracking-error quantities fed to the radius/steering laws.
 """
 from __future__ import annotations
 
@@ -12,6 +12,8 @@ from .errors import ConfigError, OffPathError
 from .vehicle import Pose, wrap_angle
 
 OFF_PATH_DISTANCE = 50.0  # m, projection guard
+WINDOW_BACK, WINDOW_FWD = 40, 600  # samples searched around a hint index
+SPACING = 0.25  # m, default sample interval of a path table
 
 
 @dataclass(frozen=True)
@@ -26,6 +28,20 @@ class ClothoidSpec:
     def __post_init__(self):
         if self.length <= 0:
             raise ConfigError("clothoid length must be positive")
+
+    def build(self, spacing: float = SPACING) -> "PathTable":
+        return build_clothoid(self, spacing)
+
+
+@dataclass(frozen=True)
+class EightSpec:
+    radius: float = 40.0  # lobe radius [m]
+
+    def build(self, spacing: float = SPACING) -> "PathTable":
+        return build_eight_path(self.radius, spacing)
+
+
+PATH_KINDS = {"clothoid": ClothoidSpec, "eight": EightSpec}
 
 
 @dataclass(frozen=True)
@@ -59,7 +75,7 @@ def _tangent_angle(spec: ClothoidSpec, s: np.ndarray) -> np.ndarray:
     return spec.theta0 + spec.kappa * s + 0.5 * spec.kappa_prime * s * s
 
 
-def build_clothoid(spec: ClothoidSpec, spacing: float = 0.25) -> PathTable:
+def build_clothoid(spec: ClothoidSpec, spacing: float = SPACING) -> PathTable:
     """Sample a clothoid by integrating cos/sin of its tangent angle.
 
     Each sample interval is integrated with composite Simpson on four
@@ -86,7 +102,7 @@ def build_clothoid(spec: ClothoidSpec, spacing: float = 0.25) -> PathTable:
     return PathTable(s=s, x=x, y=y, phi=phi, kappa=kappa, spacing=spacing)
 
 
-def build_eight_path(radius: float, spacing: float = 0.25) -> PathTable:
+def build_eight_path(radius: float, spacing: float = SPACING) -> PathTable:
     """Figure-eight: two tangent circles of opposite curvature.
 
     Starts at the crossing point heading +x, runs the left (positive
@@ -126,11 +142,10 @@ class Projection:
     e: float      # signed lateral error [m]
     phi_r: float  # reference tangent angle at the foot point [rad]
     R_r: float    # signed reference radius [m]
-    kappa: float  # curvature at the foot point [1/m]
 
 
-def project(pose: Pose, path: PathTable, hint_index: int | None = None,
-            window_back: int = 40, window_fwd: int = 600) -> Projection:
+def project(pose: Pose, path: PathTable,
+            hint_index: int | None = None) -> Projection:
     """Project a pose onto the path: nearest sample plus quadratic refinement.
 
     The lateral error is signed positive when the pose lies left of the
@@ -143,8 +158,8 @@ def project(pose: Pose, path: PathTable, hint_index: int | None = None,
     dy = path.y - pose.Y
     d2 = dx * dx + dy * dy
     if hint_index is not None:
-        lo = max(hint_index - window_back, 0)
-        hi = min(hint_index + window_fwd, len(path) - 1)
+        lo = max(hint_index - WINDOW_BACK, 0)
+        hi = min(hint_index + WINDOW_FWD, len(path) - 1)
         i = lo + int(np.argmin(d2[lo:hi + 1]))
     else:
         i = int(np.argmin(d2))
@@ -176,7 +191,7 @@ def project(pose: Pose, path: PathTable, hint_index: int | None = None,
     else:
         R_r = math.inf
     return Projection(index=i, e=float(e), phi_r=float(wrap_angle(rphi)),
-                      R_r=float(R_r), kappa=float(rkap))
+                      R_r=float(R_r))
 
 
 def errors_from_projection(proj: Projection, pose: Pose, beta: float,

@@ -17,6 +17,7 @@ from .errors import InfeasibleQpError, QpIterationLimitError
 
 FEAS_TOL = 1e-9
 MULT_TOL = 1e-9
+MAX_ITER = 500  # active-set iterations before giving up
 
 
 @dataclass
@@ -63,7 +64,7 @@ def _polish(H, g, A, b, working: list[int], n: int):
 
 
 def solve_qp(H: np.ndarray, g: np.ndarray, A: np.ndarray, b: np.ndarray,
-             x0: np.ndarray | None = None, max_iter: int = 500) -> QpResult:
+             x0: np.ndarray | None = None) -> QpResult:
     n = H.shape[0]
     m = A.shape[0] if A is not None and A.size else 0
     if m == 0:
@@ -82,7 +83,7 @@ def solve_qp(H: np.ndarray, g: np.ndarray, A: np.ndarray, b: np.ndarray,
 
     chol = cho_factor(Hs)
     working: list[int] = []
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         grad = Hs @ z + gs
         if working:
             Aw = As[working]
@@ -109,8 +110,7 @@ def solve_qp(H: np.ndarray, g: np.ndarray, A: np.ndarray, b: np.ndarray,
                 ap = As @ p
                 slack = b - As @ z
                 candidates = ap > FEAS_TOL
-                for i in working:
-                    candidates[i] = False
+                candidates[working] = False
                 if candidates.any():
                     ratios = np.full(m, np.inf)
                     ratios[candidates] = slack[candidates] / ap[candidates]
@@ -130,7 +130,6 @@ def solve_qp(H: np.ndarray, g: np.ndarray, A: np.ndarray, b: np.ndarray,
             continue
         zp, lam_p = _polish(Hs, gs, As, b, working, n)
         lam = np.zeros(m)
-        for idx, row in enumerate(working):
-            lam[row] = max(float(lam_p[idx]), 0.0)
+        lam[working] = np.maximum(lam_p, 0.0)
         return QpResult(x=zp * d, lam=lam, iterations=it, active=list(working))
-    raise QpIterationLimitError(f"active-set limit of {max_iter} iterations reached")
+    raise QpIterationLimitError(f"active-set limit of {MAX_ITER} iterations reached")

@@ -12,12 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .equilibrium import R_EQ_MAX, R_EQ_MIN
 from .errors import ConfigError
 from .paths import PathTable, TrackingErrors, project
 from .vehicle import Pose
-
-R_EQ_MIN = 5.0    # m
-R_EQ_MAX = 500.0  # m
 
 
 @dataclass(frozen=True)
@@ -34,12 +32,7 @@ class AptParams:
 
 
 def _clamp_radius(R: float, fallback_sign: float) -> float:
-    if R > 0.0:
-        sign = 1.0
-    elif R < 0.0:
-        sign = -1.0
-    else:
-        sign = fallback_sign if fallback_sign != 0.0 else 1.0
+    sign = math.copysign(1.0, R) if R != 0.0 else fallback_sign
     return sign * min(max(abs(R), R_EQ_MIN), R_EQ_MAX)
 
 
@@ -91,16 +84,11 @@ def ppt_radius(pose: Pose, path: PathTable, horizon_pts: int,
         idx = np.arange(proj.index + 1, len(path))
         if len(idx) < 3:
             idx = np.arange(max(len(path) - 4, 0) + 1, len(path))
-    px = path.x[idx]
-    py = path.y[idx]
-    best_R = None
-    best_cost = math.inf
-    for R in np.asarray(radius_grid, dtype=float):
-        cx = pose.X - R * sin_c
-        cy = pose.Y + R * cos_c
-        offsets = np.hypot(px - cx, py - cy) - abs(R)
-        cost = float(offsets @ offsets)
-        if cost < best_cost:
-            best_cost = cost
-            best_R = float(R)
+    R = np.asarray(radius_grid, dtype=float)[:, None]
+    offsets = np.hypot(path.x[idx] - (pose.X - R * sin_c),
+                       path.y[idx] - (pose.Y + R * cos_c)) - np.abs(R)
+    # stacked (1, k) @ (k, 1) products add like one vector dot per radius, so
+    # the costs match a per-radius loop bit for bit; einsum adds in another order
+    cost = (offsets[:, None, :] @ offsets[:, :, None]).ravel()
+    best_R = float(R[np.argmin(cost), 0])
     return _clamp_radius(best_R, math.copysign(1.0, proj.R_r))

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from .errors import ConfigError, DegenerateSpeedError, FrictionCircleError
 
 V_FLOOR = 0.1  # m/s, sideslip is ill-defined below this
+MU_NOMINAL = 1.0
+MU_SLIPPERY = 0.9      # plant-side friction for the mismatch case
 
 
 def wrap_angle(angle: float) -> float:
@@ -67,6 +69,18 @@ class ControlLimits:
             raise ConfigError("lower input bounds must be below upper bounds")
         if self.d_delta_lim <= 0 or self.d_F_lim <= 0:
             raise ConfigError("rate bounds must be positive")
+
+
+# stock parameters of the shipped scenarios and tests
+def default_vehicle_params(mu: float = MU_NOMINAL) -> VehicleParams:
+    return VehicleParams(m=1830.0, I_z=3234.0, a=1.40, b=1.65,
+                         B=8.321, C=1.626, mu=mu)
+
+
+def default_limits() -> ControlLimits:
+    return ControlLimits(delta_min=-1.0, delta_max=1.0,
+                         F_min=0.0, F_max=9000.0,
+                         d_delta_lim=0.15, d_F_lim=1000.0)
 
 
 @dataclass(frozen=True)

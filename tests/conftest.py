@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from driftmpc.mpc import MpcConfig
-from driftmpc.presets import default_limits, default_vehicle_params
+from driftmpc.vehicle import default_limits, default_vehicle_params
 
 
 @pytest.fixture(scope="session")

@@ -15,8 +15,8 @@ from driftmpc.gp import GpDataset, gp_fit, gp_predict_batch, matern52_matrix
 from driftmpc.harness import case_scenario, run_episode, tune
 from driftmpc.mpc import augment, linearize, solve_mpc
 from driftmpc.paths import ClothoidSpec, build_clothoid
-from driftmpc.presets import default_vehicle_params
-from driftmpc.vehicle import ControlInput, VehicleState, dynamics, step
+from driftmpc.vehicle import (ControlInput, VehicleState, default_vehicle_params,
+                              dynamics, step)
 
 SEED = 0
 

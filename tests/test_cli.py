@@ -1,9 +1,9 @@
 import os
 
 from driftmpc.bo import CostConfig
-from driftmpc.cli import main
-from driftmpc.harness import (EpisodeTrace, case_scenario, run_episode,
-                              scenario_to_file)
+from driftmpc.cli import build_parser, main
+from driftmpc.harness import (FREE_COMPONENTS, EpisodeTrace, case_scenario,
+                              run_episode, scenario_to_file)
 
 
 def test_dep_solve(capsys):
@@ -95,7 +95,7 @@ def test_report_restores_failed_trace(tmp_path, capsys):
     header, row = (tmp_path / "rep" / "metrics.csv").read_text().splitlines()
     assert header.endswith(",cost_J")
     assert float(row.split(",")[-1]) == CostConfig().j_fail
-    restored = EpisodeTrace.from_csv(tmp_path / "rep" / "trace_trace_almpc.csv")
+    restored = EpisodeTrace.from_csv(trace_file)
     assert restored.failed
     assert restored.failure_reason == expected.failure_reason
 
@@ -115,3 +115,14 @@ def test_classified_errors_reported_without_traceback(tmp_path, capsys):
     assert main(["report", "--traces", *files]) == 2
     err = capsys.readouterr().err
     assert err.startswith("driftmpc: ConfigError: traces have mismatched lengths")
+
+
+def test_mode_choices_follow_the_mode_table():
+    subcommands = next(a for a in build_parser()._actions if a.dest == "command")
+
+    def mode_choices(name):
+        parser = subcommands.choices[name]
+        return next(a.choices for a in parser._actions if a.dest == "mode")
+
+    assert mode_choices("simulate") == list(FREE_COMPONENTS)
+    assert mode_choices("tune") == [m for m, free in FREE_COMPONENTS.items() if free]

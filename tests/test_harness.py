@@ -7,8 +7,8 @@ import pytest
 
 from driftmpc.bo import BoResult, CostConfig, failed_episode_cost
 from driftmpc.errors import ConfigError
-from driftmpc.harness import (E_FAIL, TRACE_COLUMNS, EightSpec, EpisodeTrace,
-                              Scenario, TuneResult, case_scenario,
+from driftmpc.harness import (E_FAIL, FREE_COMPONENTS, TRACE_COLUMNS, EightSpec,
+                              EpisodeTrace, Scenario, TuneResult, case_scenario,
                               metrics_from_trace, report, run_episode,
                               scenario_from_dict, scenario_from_file,
                               scenario_to_dict, scenario_to_file, tune,
@@ -128,6 +128,23 @@ class TestRunEpisode:
         assert np.allclose(np.diff(t), sc.mpc.dT)
 
 
+class TestModeTable:
+    THETA = (-0.49, 0.99, 3.6)
+
+    @pytest.mark.parametrize("mode", list(FREE_COMPONENTS))
+    def test_trace_moves_exactly_with_free_components(self, mode):
+        sc = case_scenario(case=1, mode=mode, T=1.0)
+        base, _ = run_episode(sc, self.THETA)
+        assert len(base) == 10 and not base.failed
+        for comp, shift in enumerate((0.03, 0.1, 0.5)):
+            theta = list(self.THETA)
+            theta[comp] += shift
+            moved, _ = run_episode(sc, theta)
+            same = all(np.array_equal(base.columns[c], moved.columns[c])
+                       for c in TRACE_COLUMNS)
+            assert same == (comp not in FREE_COMPONENTS[mode]), (mode, comp)
+
+
 class TestTraceCsv:
     def test_round_trip_exact(self, tmp_path):
         sc = case_scenario(case=1, mode="ppt", T=3.0)
@@ -237,8 +254,7 @@ class TestReport:
         sc = case_scenario(case=1, mode="ppt", T=3.0)
         trace, _ = run_episode(sc)
         report([trace], ["run"], out_dir=tmp_path)
-        assert (tmp_path / "trace_run.csv").exists()
-        assert (tmp_path / "metrics.csv").exists()
+        assert [f.name for f in tmp_path.iterdir()] == ["metrics.csv"]
 
 
 class TestScenarioIo:

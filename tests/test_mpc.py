@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftmpc.equilibrium import solve_dep
 from driftmpc.errors import ConfigError, InfeasibleQpError
-from driftmpc.mpc import (MpcConfig, augment, linearize, predict_trajectory,
-                          solve_mpc)
+from driftmpc.mpc import (AugmentedModel, MpcConfig, _condense, augment,
+                          linearize, solve_mpc)
 from driftmpc.qp import solve_qp
 from driftmpc.vehicle import ControlInput, VehicleState, dynamics
 
@@ -24,6 +26,24 @@ def lin(dep, params, mpc_cfg):
 @pytest.fixture(scope="module")
 def aug(lin):
     return augment(lin)
+
+
+def predict_trajectory(model, xi_now, increments, n_p):
+    """Rollout oracle: roll the augmented model forward under an increment
+    sequence.
+
+    increments is (N_c, 2); steps beyond it hold the input.  Returns the
+    (n_p, 5) stacked trajectory xi_1..xi_np, for cross-checking against the
+    condensed prediction.
+    """
+    xi = np.array(xi_now, dtype=float)
+    out = np.empty((n_p, 5))
+    n_c = len(increments)
+    for k in range(n_p):
+        du = increments[k] if k < n_c else np.zeros(2)
+        xi = model.A_hat @ xi + model.B_hat @ du + model.D_hat
+        out[k] = xi
+    return out
 
 
 def forward_fd_jacobians(dep, params):
@@ -204,7 +224,6 @@ class TestSolveMpc:
             assert abs(sol.u_next.F_xr - xi[4]) <= limits.d_F_lim + 1e-6
 
     def test_condensing_matches_rollout(self, dep, aug, mpc_cfg, limits):
-        from driftmpc.mpc import _condense
         xi = dep.as_array() + np.array([0.5, -0.02, 0.01, -0.05, 200.0])
         sol = solve_mpc(xi, dep, aug, mpc_cfg, limits)
         # rebuild the full increment sequence by re-solving the same QP
@@ -222,7 +241,6 @@ class TestSolveMpc:
         assert np.abs(traj - (dev + dep.as_array())).max() < 1e-9
 
     def test_warm_start_objective_invariance(self, dep, aug, mpc_cfg, limits):
-        from driftmpc.mpc import _condense
         xi = dep.as_array() + np.array([0.8, -0.05, 0.02, 0.0, 0.0])
         S, c = _condense(aug, xi, dep.as_array(), mpc_cfg)
         q = np.tile(np.asarray(mpc_cfg.Q, float), mpc_cfg.N_p)
@@ -251,6 +269,32 @@ class TestSolveMpc:
         xi[0] = math.nan
         with pytest.raises(ConfigError):
             solve_mpc(xi, dep, aug, mpc_cfg, limits)
+
+
+@st.composite
+def horizons(draw):
+    n_p = draw(st.integers(1, 25))
+    n_c = draw(st.one_of(st.just(1), st.just(n_p), st.integers(1, n_p)))
+    return n_p, n_c
+
+
+@settings(max_examples=60, deadline=None)
+@given(horizons(), st.integers(0, 2**32 - 1))
+def test_condense_matches_rollout_oracle(horizon, seed):
+    """Condensed prediction S w + c + xi_eq equals the step-by-step rollout
+    for random augmented models, increment plans and horizons."""
+    n_p, n_c = horizon
+    rng = np.random.default_rng(seed)
+    model = AugmentedModel(A_hat=np.eye(5) + rng.uniform(-0.3, 0.3, (5, 5)),
+                           B_hat=rng.normal(size=(5, 2)), D_hat=rng.normal(size=5))
+    xi_now, xi_eq = rng.normal(size=5), rng.normal(size=5)
+    plan = rng.normal(size=(n_c, 2))
+    S, c = _condense(model, xi_now, xi_eq, MpcConfig(N_p=n_p, N_c=n_c))
+    assert S.shape == (5 * n_p, 2 * n_c) and c.shape == (5 * n_p,)
+    rollout = predict_trajectory(model, xi_now, plan, n_p)
+    condensed = (S @ plan.ravel() + c).reshape(n_p, 5) + xi_eq
+    scale = max(1.0, float(np.abs(rollout).max()))
+    assert np.abs(condensed - rollout).max() <= 1e-9 * scale
 
 
 class TestMpcConfig:

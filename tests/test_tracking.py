@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftmpc.errors import ConfigError
-from driftmpc.paths import ClothoidSpec, TrackingErrors, build_clothoid
+from driftmpc.paths import (ClothoidSpec, EightSpec, TrackingErrors, build_clothoid,
+                            project)
 from driftmpc.tracking import (AptParams, apt_radius, default_radius_grid,
                                ppt_radius, steer_feedback)
 from driftmpc.vehicle import Pose
@@ -129,6 +132,55 @@ class TestPptRadius:
             ClothoidSpec(kappa=1 / 40, kappa_prime=0.0, length=100.0), 0.25)
         with pytest.raises(ConfigError):
             ppt_radius(Pose(0.0, 0.0, 0.0), path, 2, [40.0])
+
+
+def ppt_radius_loop(pose, path, horizon_pts, radius_grid, beta=0.0, stride=1,
+                    hint_index=None):
+    """Scalar oracle: one candidate circle at a time, strict < keeps the
+    first of equal costs, then the sign-preserving clamp to [5, 500] m."""
+    proj = project(pose, path, hint_index=hint_index)
+    course = pose.phi + beta
+    sin_c, cos_c = math.sin(course), math.cos(course)
+    idx = proj.index + stride * np.arange(1, horizon_pts + 1)
+    idx = idx[idx < len(path)]
+    if len(idx) < 3:
+        idx = np.arange(proj.index + 1, len(path))
+        if len(idx) < 3:
+            idx = np.arange(max(len(path) - 4, 0) + 1, len(path))
+    px, py = path.x[idx], path.y[idx]
+    best_R, best_cost = None, math.inf
+    for R in np.asarray(radius_grid, dtype=float):
+        offsets = np.hypot(px - (pose.X - R * sin_c), py - (pose.Y + R * cos_c)) - abs(R)
+        cost = float(offsets @ offsets)
+        if cost < best_cost:
+            best_R, best_cost = float(R), cost
+    if best_R == 0.0:
+        return math.copysign(5.0, proj.R_r)
+    return math.copysign(min(max(abs(best_R), 5.0), 500.0), best_R)
+
+
+PATHS = {"clothoid": ClothoidSpec().build(), "eight": EightSpec(radius=30.0).build()}
+
+
+@st.composite
+def ppt_cases(draw):
+    path = PATHS[draw(st.sampled_from(sorted(PATHS)))]
+    i = draw(st.integers(0, len(path) - 1))
+    offset = st.floats(-2.0, 2.0)
+    pose = Pose(float(path.x[i]) + draw(offset), float(path.y[i]) + draw(offset),
+                float(path.phi[i]) + draw(st.floats(-0.5, 0.5)))
+    hint = draw(st.one_of(st.none(), st.integers(-30, 30).map(
+        lambda d: min(max(i + d, 0), len(path) - 1))))
+    return dict(pose=pose, path=path, horizon_pts=draw(st.integers(3, 25)),
+                radius_grid=default_radius_grid(draw(st.integers(1, 60))),
+                beta=draw(st.floats(-0.8, 0.8)), stride=draw(st.integers(1, 12)),
+                hint_index=hint)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ppt_cases())
+def test_ppt_radius_matches_scalar_loop(case):
+    assert ppt_radius(**case) == ppt_radius_loop(**case)
 
 
 def test_apt_params_validation():
