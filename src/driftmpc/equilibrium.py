@@ -53,7 +53,7 @@ def default_seed(R_eq: float, params: VehicleParams) -> tuple[float, float, floa
 
 def _residual(z: np.ndarray, delta_eq: float, R_eq: float,
               params: VehicleParams) -> np.ndarray | None:
-    V, beta, F_xr = z
+    V, beta, F_xr = z.tolist()  # Python floats: same bits as NumPy scalars, faster
     try:
         dv = dynamics(VehicleState(V, beta, V / R_eq),
                       ControlInput(delta_eq, F_xr), params)

@@ -8,6 +8,7 @@ the active-set solver.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -53,8 +54,10 @@ class MpcConfig:
 
 
 def _f(z: np.ndarray, params: VehicleParams) -> np.ndarray:
-    return np.array(dynamics(VehicleState(z[0], z[1], z[2]),
-                             ControlInput(z[3], z[4]), params))
+    # Python floats give the same IEEE results as NumPy scalars, faster
+    V, beta, r, delta, F_xr = z.tolist()
+    return np.array(dynamics(VehicleState(V, beta, r),
+                             ControlInput(delta, F_xr), params))
 
 
 def linearize(dep: DriftEquilibrium, params: VehicleParams,
@@ -109,23 +112,64 @@ class MpcSolution:
     n_active: int = 0
 
 
+@lru_cache(maxsize=64)
+def _lag_index(n_p: int, n_c: int) -> np.ndarray:
+    """Block (k, j) of S takes stacked block max(k + 1 - j, 0)."""
+    lag = np.arange(1, n_p + 1)[:, None] - np.arange(n_c)[None, :]
+    return np.maximum(lag, 0)
+
+
 def _condense(model: AugmentedModel, xi_now: np.ndarray, xi_eq: np.ndarray,
               cfg: MpcConfig):
     """Stack the horizon: deviation_k = S w + c_k with w the increments;
     S is block Toeplitz, block (k, j) = A_hat^(k-j) B_hat for j <= k."""
     n_p, n_c = cfg.N_p, cfg.N_c
-    powers = [np.eye(5)]
-    c = np.empty(5 * n_p)
-    acc = np.zeros(5)
+    powers = np.empty((n_p + 1, 5, 5))
+    powers[0] = np.eye(5)
+    acc = np.empty((n_p, 5))
+    prev = np.zeros(5)
     for k in range(1, n_p + 1):
-        powers.append(model.A_hat @ powers[-1])
-        acc = model.A_hat @ acc + model.D_hat
-        c[5 * (k - 1):5 * k] = powers[k] @ xi_now + acc - xi_eq
+        powers[k] = model.A_hat @ powers[k - 1]
+        prev = acc[k - 1] = model.A_hat @ prev + model.D_hat
+    c = (powers[1:] @ xi_now + acc - xi_eq).ravel()
     # blocks[i] = A_hat^(i-1) B_hat, with the zero block at i = 0
-    blocks = np.stack([np.zeros((5, 2))] + [p @ model.B_hat for p in powers[:n_p]])
-    lag = np.arange(1, n_p + 1)[:, None] - np.arange(n_c)[None, :]
-    S = blocks[np.maximum(lag, 0)].transpose(0, 2, 1, 3).reshape(5 * n_p, 2 * n_c)
+    blocks = np.empty((n_p + 1, 5, 2))
+    blocks[0] = 0.0
+    blocks[1:] = powers[:n_p] @ model.B_hat
+    S = blocks[_lag_index(n_p, n_c)].transpose(0, 2, 1, 3).reshape(5 * n_p, 2 * n_c)
     return S, c
+
+
+@dataclass(frozen=True)
+class _Constraints:
+    """The parts of the MPC QP fixed by (MpcConfig, ControlLimits)."""
+    A: np.ndarray       # rate rows, then upper and lower prefix-sum rows
+    b_rate: np.ndarray  # right-hand side of the rate rows
+    lo: np.ndarray      # (delta_min, F_min)
+    hi: np.ndarray      # (delta_max, F_max)
+    q_diag: np.ndarray  # stacked state-input weights over N_p
+    R_bar: np.ndarray   # diagonal increment weight matrix over N_c
+
+
+@lru_cache(maxsize=16)
+def _constraints(cfg: MpcConfig, limits: ControlLimits) -> _Constraints:
+    n_c = cfg.N_c
+    nv = 2 * n_c
+    # rate bounds: +-w_j <= rate, stacked per step
+    A_rate = np.vstack([np.eye(nv), -np.eye(nv)])
+    # input bounds: u_prev + cumulative sum of increments within [lo, hi]
+    cum = np.kron(np.tril(np.ones((n_c, n_c))), np.eye(2))
+    A = np.vstack([A_rate, cum, -cum])
+    rate = np.array([limits.d_delta_lim, limits.d_F_lim])
+    out = _Constraints(
+        A=A, b_rate=np.tile(rate, 2 * n_c),
+        lo=np.array([limits.delta_min, limits.F_min]),
+        hi=np.array([limits.delta_max, limits.F_max]),
+        q_diag=np.tile(np.asarray(cfg.Q, dtype=float), cfg.N_p),
+        R_bar=np.diag(np.tile(np.asarray(cfg.R, dtype=float), n_c)))
+    for arr in vars(out).values():
+        arr.flags.writeable = False
+    return out
 
 
 def solve_mpc(xi_now: np.ndarray, dep: DriftEquilibrium, model: AugmentedModel,
@@ -140,33 +184,24 @@ def solve_mpc(xi_now: np.ndarray, dep: DriftEquilibrium, model: AugmentedModel,
     if not np.all(np.isfinite(xi_now)):
         raise ConfigError("xi_now must be finite")
     u_prev = xi_now[3:]
-    lo = np.array([limits.delta_min, limits.F_min])
-    hi = np.array([limits.delta_max, limits.F_max])
+    con = _constraints(cfg, limits)
+    lo, hi = con.lo, con.hi
     if np.any(u_prev < lo - 1e-9) or np.any(u_prev > hi + 1e-9):
         raise InfeasibleQpError("previous input outside the input set")
 
     xi_eq = dep.as_array()
     S, c = _condense(model, xi_now, xi_eq, cfg)
-    n_c = cfg.N_c
-    q_diag = np.tile(np.asarray(cfg.Q, dtype=float), cfg.N_p)
-    r_diag = np.tile(np.asarray(cfg.R, dtype=float), n_c)
+    q_diag = con.q_diag
     SQ = S * q_diag[:, None]
-    H = 2.0 * (S.T @ SQ + np.diag(r_diag))
+    H = 2.0 * (S.T @ SQ + con.R_bar)
     H = 0.5 * (H + H.T)
     g = 2.0 * (SQ.T @ c)
     const = float(c @ (q_diag * c))
 
-    nv = 2 * n_c
-    rate = np.array([limits.d_delta_lim, limits.d_F_lim])
-    # rate bounds: +-w_j <= rate, stacked per step
-    A_rate = np.vstack([np.eye(nv), -np.eye(nv)])
-    b_rate = np.tile(rate, 2 * n_c)
-    # input bounds: u_prev + cumulative sum of increments within [lo, hi]
-    cum = np.kron(np.tril(np.ones((n_c, n_c))), np.eye(2))
-    b_hi = np.tile(hi - u_prev, n_c)
-    b_lo = np.tile(u_prev - lo, n_c)
-    A = np.vstack([A_rate, cum, -cum])
-    b = np.concatenate([b_rate, b_hi, b_lo])
+    n_c = cfg.N_c
+    A = con.A
+    b = np.concatenate([con.b_rate, np.tile(hi - u_prev, n_c),
+                        np.tile(u_prev - lo, n_c)])
 
     res = solve_qp(H, g, A, b)
     w = res.x

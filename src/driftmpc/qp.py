@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .errors import InfeasibleQpError, QpIterationLimitError
+from .errors import ConfigError, InfeasibleQpError, QpIterationLimitError
 
 FEAS_TOL = 1e-9
 MULT_TOL = 1e-9
@@ -39,14 +39,30 @@ class QpResult:
         }
 
 
-def _polish(H, g, A, b, working: list[int], n: int):
+# solve_qp validates its data once at entry, so the Cholesky factorization
+# and solves call LAPACK directly: the same potrf/potrs that
+# scipy.linalg.cho_factor/cho_solve run, without their per-call checks
+def _cho_factor(H: np.ndarray) -> np.ndarray:
+    """Upper Cholesky factor of H (lower triangle left unspecified)."""
+    c, info = dpotrf(H, lower=0, clean=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite")
+    return c
+
+
+def _cho_solve(c: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    return dpotrs(c, rhs, lower=0)[0]
+
+
+def _polish(H, g, A, b, working: list[int], n: int, chol):
     """Solve the equality-constrained KKT system at the final working set,
-    with one iterative-refinement pass for tight residuals."""
+    with one iterative-refinement pass for tight residuals.  chol is the
+    Cholesky factor of H."""
     nw = len(working)
     if nw == 0:
-        chol = cho_factor(H)
-        x = -cho_solve(chol, g)
-        x -= cho_solve(chol, H @ x + g)  # refinement
+        x = -_cho_solve(chol, g)
+        x -= _cho_solve(chol, H @ x + g)  # refinement
         return x, np.zeros(0)
     Aw = A[working]
     kkt = np.zeros((n + nw, n + nw))
@@ -65,11 +81,18 @@ def _polish(H, g, A, b, working: list[int], n: int):
 
 def solve_qp(H: np.ndarray, g: np.ndarray, A: np.ndarray, b: np.ndarray,
              x0: np.ndarray | None = None) -> QpResult:
+    """Minimize 0.5 x'Hx + g'x subject to Ax <= b, starting from x0 (zero
+    by default), which must be feasible.  H, g, A and x0 must be finite; b
+    may hold +inf for an absent bound but no NaN."""
     n = H.shape[0]
     m = A.shape[0] if A is not None and A.size else 0
     if m == 0:
         A = np.zeros((0, n))
         b = np.zeros(0)
+    if not (np.isfinite(H).all() and np.isfinite(g).all()
+            and np.isfinite(A).all() and not np.isnan(b).any()
+            and (x0 is None or np.isfinite(x0).all())):
+        raise ConfigError("QP data must be finite (b may hold +inf)")
 
     # symmetric diagonal equilibration: work on x = D z with D = H_ii^(-1/2)
     d = 1.0 / np.sqrt(np.diag(H))
@@ -81,14 +104,14 @@ def solve_qp(H: np.ndarray, g: np.ndarray, A: np.ndarray, b: np.ndarray,
     if m and float((As @ z - b).max()) > FEAS_TOL:
         raise InfeasibleQpError("starting point violates the constraints")
 
-    chol = cho_factor(Hs)
+    chol = _cho_factor(Hs)
     working: list[int] = []
     for it in range(1, MAX_ITER + 1):
         grad = Hs @ z + gs
         if working:
             Aw = As[working]
-            hinv_grad = cho_solve(chol, grad)
-            hinv_awt = cho_solve(chol, Aw.T)
+            hinv_grad = _cho_solve(chol, grad)
+            hinv_awt = _cho_solve(chol, Aw.T)
             gram = Aw @ hinv_awt
             rhs = -(Aw @ hinv_grad)
             try:
@@ -98,7 +121,7 @@ def solve_qp(H: np.ndarray, g: np.ndarray, A: np.ndarray, b: np.ndarray,
             p = -(hinv_grad + hinv_awt @ lam_w)
         else:
             lam_w = np.zeros(0)
-            p = -cho_solve(chol, grad)
+            p = -_cho_solve(chol, grad)
 
         step_scale = max(1.0, float(np.abs(z).max(initial=0.0)))
         stationary = float(np.abs(p).max(initial=0.0)) < 1e-9 * step_scale
@@ -128,7 +151,7 @@ def solve_qp(H: np.ndarray, g: np.ndarray, A: np.ndarray, b: np.ndarray,
             drop = working[int(np.argmin(lam_w))]
             working.remove(drop)
             continue
-        zp, lam_p = _polish(Hs, gs, As, b, working, n)
+        zp, lam_p = _polish(Hs, gs, As, b, working, n, chol)
         lam = np.zeros(m)
         lam[working] = np.maximum(lam_p, 0.0)
         return QpResult(x=zp * d, lam=lam, iterations=it, active=list(working))

@@ -161,13 +161,6 @@ def dynamics(state: VehicleState, control: ControlInput,
     return dV, dbeta, dr
 
 
-def _deriv6(z: tuple, control: ControlInput, params: VehicleParams) -> tuple:
-    V, beta, r, _, _, phi = z
-    dV, dbeta, dr = dynamics(VehicleState(V, beta, r), control, params)
-    course = phi + beta
-    return (dV, dbeta, dr, V * math.cos(course), V * math.sin(course), r)
-
-
 def step(state: VehicleState, pose: Pose, control: ControlInput,
          params: VehicleParams, dt: float,
          substeps: int = 1) -> tuple[VehicleState, Pose]:
@@ -178,17 +171,39 @@ def step(state: VehicleState, pose: Pose, control: ControlInput,
     """
     if dt <= 0:
         raise ConfigError("dt must be positive")
+    if substeps < 1:
+        raise ConfigError("substeps must be at least 1")
     h = dt / substeps
-    z = (state.V, state.beta, state.r, pose.X, pose.Y, pose.phi)
+    h2 = 0.5 * h
+    h6 = h / 6.0
+    V, beta, r = state.V, state.beta, state.r
+    X, Y, phi = pose.X, pose.Y, pose.phi
+    # stage i evaluates (dV, dbeta, dr) from the model and the pose rates
+    # (V cos(phi + beta), V sin(phi + beta), r) kinematically
     for _ in range(substeps):
-        k1 = _deriv6(z, control, params)
-        z2 = tuple(z[i] + 0.5 * h * k1[i] for i in range(6))
-        k2 = _deriv6(z2, control, params)
-        z3 = tuple(z[i] + 0.5 * h * k2[i] for i in range(6))
-        k3 = _deriv6(z3, control, params)
-        z4 = tuple(z[i] + h * k3[i] for i in range(6))
-        k4 = _deriv6(z4, control, params)
-        z = tuple(z[i] + h / 6.0 * (k1[i] + 2 * k2[i] + 2 * k3[i] + k4[i])
-                  for i in range(6))
-    return (VehicleState(z[0], z[1], z[2]),
-            Pose(z[3], z[4], wrap_angle(z[5])))
+        dV1, db1, dr1 = dynamics(VehicleState(V, beta, r), control, params)
+        c1 = phi + beta
+        dX1, dY1 = V * math.cos(c1), V * math.sin(c1)
+        V2, b2, r2 = V + h2 * dV1, beta + h2 * db1, r + h2 * dr1
+        X2, Y2, p2 = X + h2 * dX1, Y + h2 * dY1, phi + h2 * r
+        dV2, db2, dr2 = dynamics(VehicleState(V2, b2, r2), control, params)
+        c2 = p2 + b2
+        dX2, dY2 = V2 * math.cos(c2), V2 * math.sin(c2)
+        V3, b3, r3 = V + h2 * dV2, beta + h2 * db2, r + h2 * dr2
+        X3, Y3, p3 = X + h2 * dX2, Y + h2 * dY2, phi + h2 * r2
+        dV3, db3, dr3 = dynamics(VehicleState(V3, b3, r3), control, params)
+        c3 = p3 + b3
+        dX3, dY3 = V3 * math.cos(c3), V3 * math.sin(c3)
+        V4, b4, r4 = V + h * dV3, beta + h * db3, r + h * dr3
+        X4, Y4, p4 = X + h * dX3, Y + h * dY3, phi + h * r3
+        dV4, db4, dr4 = dynamics(VehicleState(V4, b4, r4), control, params)
+        c4 = p4 + b4
+        dX4, dY4 = V4 * math.cos(c4), V4 * math.sin(c4)
+        V, beta, r, X, Y, phi = (
+            V + h6 * (dV1 + 2 * dV2 + 2 * dV3 + dV4),
+            beta + h6 * (db1 + 2 * db2 + 2 * db3 + db4),
+            r + h6 * (dr1 + 2 * dr2 + 2 * dr3 + dr4),
+            X + h6 * (dX1 + 2 * dX2 + 2 * dX3 + dX4),
+            Y + h6 * (dY1 + 2 * dY2 + 2 * dY3 + dY4),
+            phi + h6 * (r + 2 * r2 + 2 * r3 + r4))
+    return VehicleState(V, beta, r), Pose(X, Y, wrap_angle(phi))

@@ -1,16 +1,18 @@
 import math
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from driftmpc import mpc
 from driftmpc.equilibrium import solve_dep
-from driftmpc.errors import ConfigError, InfeasibleQpError
-from driftmpc.mpc import (AugmentedModel, MpcConfig, _condense, augment,
-                          linearize, solve_mpc)
+from driftmpc.errors import ConfigError, DriftMpcError, InfeasibleQpError
+from driftmpc.mpc import (AugmentedModel, MpcConfig, _condense, _constraints,
+                          augment, linearize, solve_mpc)
 from driftmpc.qp import solve_qp
-from driftmpc.vehicle import ControlInput, VehicleState, dynamics
+from driftmpc.vehicle import ControlInput, ControlLimits, VehicleState, dynamics
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +46,39 @@ def predict_trajectory(model, xi_now, increments, n_p):
         xi = model.A_hat @ xi + model.B_hat @ du + model.D_hat
         out[k] = xi
     return out
+
+
+def condense_per_block(model, xi_now, xi_eq, cfg):
+    """Oracle: condensing with one matrix product per horizon block;
+    _condense must reproduce it bit for bit."""
+    n_p, n_c = cfg.N_p, cfg.N_c
+    powers = [np.eye(5)]
+    c = np.empty(5 * n_p)
+    acc = np.zeros(5)
+    for k in range(1, n_p + 1):
+        powers.append(model.A_hat @ powers[-1])
+        acc = model.A_hat @ acc + model.D_hat
+        c[5 * (k - 1):5 * k] = powers[k] @ xi_now + acc - xi_eq
+    blocks = np.stack([np.zeros((5, 2))] + [p @ model.B_hat for p in powers[:n_p]])
+    lag = np.arange(1, n_p + 1)[:, None] - np.arange(n_c)[None, :]
+    S = blocks[np.maximum(lag, 0)].transpose(0, 2, 1, 3).reshape(5 * n_p, 2 * n_c)
+    return S, c
+
+
+def constraints_per_step(cfg, limits, u_prev):
+    """Oracle: the (A, b) that solve_mpc assembled on every call before the
+    fixed part was built once per configuration."""
+    n_c = cfg.N_c
+    nv = 2 * n_c
+    lo = np.array([limits.delta_min, limits.F_min])
+    hi = np.array([limits.delta_max, limits.F_max])
+    rate = np.array([limits.d_delta_lim, limits.d_F_lim])
+    A_rate = np.vstack([np.eye(nv), -np.eye(nv)])
+    b_rate = np.tile(rate, 2 * n_c)
+    cum = np.kron(np.tril(np.ones((n_c, n_c))), np.eye(2))
+    A = np.vstack([A_rate, cum, -cum])
+    b = np.concatenate([b_rate, np.tile(hi - u_prev, n_c), np.tile(u_prev - lo, n_c)])
+    return A, b
 
 
 def forward_fd_jacobians(dep, params):
@@ -144,6 +179,24 @@ class TestSolveQp:
         b = np.array([-1.0])  # zero start violates x0 <= -1
         with pytest.raises(InfeasibleQpError):
             solve_qp(H, g, A, b)
+
+    @pytest.mark.parametrize("field", ["H", "g", "A", "b"])
+    def test_nan_data_is_a_classified_failure(self, field):
+        data = {"H": np.eye(2), "g": np.ones(2), "A": np.eye(2), "b": np.ones(2)}
+        data[field] = data[field].copy()
+        data[field].flat[0] = math.nan
+        with pytest.raises(DriftMpcError):
+            solve_qp(**data)
+
+    def test_infinite_bound_is_absent(self):
+        H = np.array([[2.0]])
+        g = np.array([-4.0])
+        one = solve_qp(H, g, np.array([[1.0]]), np.array([1.0]))
+        two = solve_qp(H, g, np.array([[1.0], [1.0]]), np.array([1.0, math.inf]))
+        assert np.array_equal(one.x, two.x) and one.iterations == two.iterations
+        assert np.array_equal(two.lam, [one.lam[0], 0.0])
+        free = solve_qp(H, g, np.array([[1.0]]), np.array([math.inf]))
+        assert math.isclose(free.x[0], 2.0, abs_tol=1e-12) and free.active == []
 
     def test_random_instances_kkt(self, rng):
         for _ in range(30):
@@ -295,6 +348,90 @@ def test_condense_matches_rollout_oracle(horizon, seed):
     condensed = (S @ plan.ravel() + c).reshape(n_p, 5) + xi_eq
     scale = max(1.0, float(np.abs(rollout).max()))
     assert np.abs(condensed - rollout).max() <= 1e-9 * scale
+
+
+@settings(max_examples=100, deadline=None)
+@given(horizons(), st.integers(0, 2**32 - 1))
+def test_condense_matches_per_block_oracle(horizon, seed):
+    n_p, n_c = horizon
+    rng = np.random.default_rng(seed)
+    model = AugmentedModel(A_hat=np.eye(5) + rng.uniform(-0.3, 0.3, (5, 5)),
+                           B_hat=rng.normal(size=(5, 2)), D_hat=rng.normal(size=5))
+    xi_now, xi_eq = rng.normal(size=5), rng.normal(size=5)
+    cfg = MpcConfig(N_p=n_p, N_c=n_c)
+    S, c = _condense(model, xi_now, xi_eq, cfg)
+    S_ref, c_ref = condense_per_block(model, xi_now, xi_eq, cfg)
+    assert np.array_equal(S, S_ref) and np.array_equal(c, c_ref)
+
+
+@pytest.mark.parametrize("n_p, n_c", [(20, 19), (20, 20), (20, 1), (1, 1)])
+def test_condense_per_block_on_drift_model(aug, dep, n_p, n_c):
+    xi = dep.as_array() + np.array([0.5, -0.02, 0.01, -0.05, 200.0])
+    cfg = MpcConfig(N_p=n_p, N_c=n_c)
+    S, c = _condense(aug, xi, dep.as_array(), cfg)
+    S_ref, c_ref = condense_per_block(aug, xi, dep.as_array(), cfg)
+    assert np.array_equal(S, S_ref) and np.array_equal(c, c_ref)
+
+
+class TestConstraintCache:
+    def test_read_only(self, mpc_cfg, limits):
+        con = _constraints(mpc_cfg, limits)
+        for arr in (con.A, con.b_rate, con.lo, con.hi, con.q_diag, con.R_bar):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            con.A[0, 0] = 2.0
+
+    @pytest.mark.parametrize("n_c", [1, 7, 19])
+    def test_matches_per_step_construction(self, limits, n_c):
+        cfg = MpcConfig(N_p=20, N_c=n_c)
+        u_prev = np.array([0.3, 2500.0])
+        A_ref, b_ref = constraints_per_step(cfg, limits, u_prev)
+        con = _constraints(cfg, limits)
+        assert np.array_equal(con.A, A_ref)
+        assert np.array_equal(con.b_rate, b_ref[:4 * n_c])
+        assert np.array_equal(con.q_diag, np.tile(np.asarray(cfg.Q, float), cfg.N_p))
+        assert np.array_equal(con.R_bar, np.diag(np.tile(np.asarray(cfg.R, float), n_c)))
+
+    def test_equal_limits_share_an_entry(self, mpc_cfg, limits):
+        twin = ControlLimits(**asdict(limits))
+        assert twin is not limits
+        assert _constraints(MpcConfig(), twin) is _constraints(mpc_cfg, limits)
+
+    def test_rate_limits_reach_b(self, dep, aug, mpc_cfg, limits, monkeypatch):
+        seen = []
+
+        def capture(H, g, A, b, *args):
+            seen.append((A, b))
+            return solve_qp(H, g, A, b, *args)
+
+        monkeypatch.setattr(mpc, "solve_qp", capture)
+        xi = dep.as_array()
+        tight = replace(limits, d_delta_lim=0.05, d_F_lim=400.0)
+        for lim in (limits, tight):
+            solve_mpc(xi, dep, aug, mpc_cfg, lim)
+            A_ref, b_ref = constraints_per_step(mpc_cfg, lim, xi[3:])
+            assert np.array_equal(seen[-1][0], A_ref)
+            assert np.array_equal(seen[-1][1], b_ref)
+        n_rate = 4 * mpc_cfg.N_c
+        (_, b_wide), (_, b_tight) = seen
+        assert np.array_equal(b_tight[:n_rate], np.tile([0.05, 400.0], 2 * mpc_cfg.N_c))
+        assert not np.array_equal(b_wide[:n_rate], b_tight[:n_rate])
+        assert np.array_equal(b_wide[n_rate:], b_tight[n_rate:])
+
+    def test_equal_configurations_give_identical_solutions(self, dep, aug,
+                                                          mpc_cfg, limits):
+        xi = dep.as_array() + np.array([0.8, -0.05, 0.02, 0.1, -300.0])
+        a = solve_mpc(xi, dep, aug, mpc_cfg, limits)
+        b = solve_mpc(xi.copy(), dep, aug, MpcConfig(), ControlLimits(**asdict(limits)))
+        assert a.u_next == b.u_next and a.cost == b.cost and a.kkt == b.kkt
+        assert np.array_equal(a.delta_u, b.delta_u)
+        assert (a.qp_iterations, a.n_active) == (b.qp_iterations, b.n_active)
+
+    def test_non_finite_model_is_a_classified_failure(self, dep, aug, mpc_cfg, limits):
+        bad = AugmentedModel(A_hat=aug.A_hat, B_hat=aug.B_hat,
+                             D_hat=np.full(5, math.nan))
+        with pytest.raises(DriftMpcError):
+            solve_mpc(dep.as_array(), dep, bad, mpc_cfg, limits)
 
 
 class TestMpcConfig:

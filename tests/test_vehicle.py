@@ -2,11 +2,41 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from driftmpc.errors import ConfigError, DegenerateSpeedError, FrictionCircleError
+from driftmpc import vehicle
+from driftmpc.errors import (ConfigError, DegenerateSpeedError, DriftMpcError,
+                             FrictionCircleError)
 from driftmpc.vehicle import (ControlInput, Pose, VehicleParams, VehicleState,
-                              dynamics, lateral_force, rear_lateral_force,
-                              slip_angles, static_loads, step, wrap_angle)
+                              default_vehicle_params, dynamics, lateral_force,
+                              rear_lateral_force, slip_angles, static_loads,
+                              step, wrap_angle)
+
+
+def _deriv6(z: tuple, control: ControlInput, params: VehicleParams) -> tuple:
+    V, beta, r, _, _, phi = z
+    dV, dbeta, dr = dynamics(VehicleState(V, beta, r), control, params)
+    course = phi + beta
+    return (dV, dbeta, dr, V * math.cos(course), V * math.sin(course), r)
+
+
+def rk4_tuple_loop(state, pose, control, params, dt, substeps):
+    """Oracle: RK4 over the six-tuple (V, beta, r, X, Y, phi), written as
+    per-component generator loops; step must reproduce it bit for bit."""
+    h = dt / substeps
+    z = (state.V, state.beta, state.r, pose.X, pose.Y, pose.phi)
+    for _ in range(substeps):
+        k1 = _deriv6(z, control, params)
+        z2 = tuple(z[i] + 0.5 * h * k1[i] for i in range(6))
+        k2 = _deriv6(z2, control, params)
+        z3 = tuple(z[i] + 0.5 * h * k2[i] for i in range(6))
+        k3 = _deriv6(z3, control, params)
+        z4 = tuple(z[i] + h * k3[i] for i in range(6))
+        k4 = _deriv6(z4, control, params)
+        z = tuple(z[i] + h / 6.0 * (k1[i] + 2 * k2[i] + 2 * k3[i] + k4[i])
+                  for i in range(6))
+    return (z[0], z[1], z[2], z[3], z[4], wrap_angle(z[5]))
 
 
 def test_wrap_angle_range():
@@ -203,3 +233,47 @@ class TestStep:
         with pytest.raises(ConfigError):
             step(VehicleState(10, 0, 0), Pose(0, 0, 0),
                  ControlInput(0, 0), params, 0.0)
+
+    @pytest.mark.parametrize("substeps", [0, -1])
+    def test_invalid_substeps(self, params, substeps):
+        with pytest.raises(ConfigError):
+            step(VehicleState(10, 0, 0), Pose(0, 0, 0),
+                 ControlInput(0, 0), params, 0.1, substeps=substeps)
+
+    @pytest.mark.parametrize("substeps", [1, 3, 10])
+    def test_dynamics_calls_per_substep(self, params, monkeypatch, substeps):
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return dynamics(*args)
+
+        monkeypatch.setattr(vehicle, "dynamics", counting)
+        step(VehicleState(14.0, -0.6, 0.5), Pose(0.0, 0.0, 0.0),
+             ControlInput(-0.5, 5000.0), params, 0.1, substeps=substeps)
+        assert len(calls) == 4 * substeps
+
+
+_MU = st.floats(0.3, 1.2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(V=st.floats(0.5, 30.0), beta=st.floats(-1.2, 1.2), r=st.floats(-2.0, 2.0),
+       X=st.floats(-200.0, 200.0), Y=st.floats(-200.0, 200.0),
+       phi=st.floats(-math.pi, math.pi), delta=st.floats(-1.0, 1.0),
+       force_frac=st.floats(-1.0, 1.0), mu=_MU,
+       dt=st.floats(1e-3, 0.5), substeps=st.integers(1, 12))
+def test_step_matches_tuple_loop_oracle(V, beta, r, X, Y, phi, delta,
+                                        force_frac, mu, dt, substeps):
+    params = default_vehicle_params(mu)
+    F_xr = force_frac * params.mu * static_loads(params)[1]
+    args = (VehicleState(V, beta, r), Pose(X, Y, phi),
+            ControlInput(delta, F_xr), params, dt, substeps)
+    try:
+        expected = rk4_tuple_loop(*args)
+    except DriftMpcError as exc:
+        with pytest.raises(type(exc)):
+            step(*args)
+        return
+    s, p = step(*args)
+    assert (s.V, s.beta, s.r, p.X, p.Y, p.phi) == expected
