@@ -6,7 +6,7 @@ from closed-loop episode cost.
 from .bo import (BoResult, CostConfig, ThetaBounds, acquire_next, bo_loop,
                  episode_cost, expected_improvement, failed_episode_cost)
 from .equilibrium import DriftEquilibrium, dep_sweep, solve_dep
-from .gp import GpDataset, GpModel, gp_fit, gp_predict, matern52
+from .gp import GpDataset, GpModel, gp_fit, gp_predict
 from .harness import (EpisodeTrace, MetricsReport, Scenario, TuneResult,
                       case_scenario, metrics_from_trace, report, run_episode,
                       scenario_from_file, scenario_to_file, tune, tune_objective)
@@ -17,7 +17,6 @@ from .paths import (ClothoidSpec, EightSpec, PathTable, TrackingErrors,
 from .qp import QpResult, solve_qp
 from .tracking import AptParams, apt_radius, default_radius_grid, ppt_radius, steer_feedback
 from .vehicle import (ControlInput, ControlLimits, Pose, VehicleParams,
-                      VehicleState, dynamics, lateral_force, rear_lateral_force,
-                      slip_angles, static_loads, step, wrap_angle)
+                      VehicleState, dynamics, step, wrap_angle)
 
 __version__ = "0.1.0"

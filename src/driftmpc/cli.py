@@ -4,13 +4,14 @@ simulation, parameter tuning, and trace comparison reports.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import asdict, replace
 
 import numpy as np
 
-from .equilibrium import dep_sweep, solve_dep, sweep_to_csv
+from .equilibrium import R_EQ_MIN, dep_sweep, solve_dep, sweep_to_csv
 from .errors import DriftMpcError
 from .harness import (FREE_COMPONENTS, EpisodeTrace, Scenario, case_scenario,
                       report, run_episode, scenario_from_file, scenario_to_file,
@@ -23,7 +24,10 @@ def _cmd_dep(args) -> int:
     params = default_vehicle_params(mu=args.mu)
     if args.sweep:
         deltas = np.linspace(args.delta - 0.1, args.delta + 0.1, 5)
-        radii = np.linspace(max(args.radius * 0.5, 5.0), args.radius * 1.5, 7)
+        # radii from 0.5 |R| to 1.5 |R|, all turning the way R does
+        size = abs(args.radius)
+        radii = math.copysign(1.0, args.radius) * np.linspace(
+            max(0.5 * size, R_EQ_MIN), 1.5 * size, 7)
         cells = dep_sweep(deltas, radii, params)
         sweep_to_csv(cells, args.out)
         n_ok = sum(c.converged for c in cells)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import (ConfigError, DegenerateSpeedError, FrictionCircleError,
                      GripBranchError, NoConvergenceError)
-from .vehicle import ControlInput, VehicleParams, VehicleState, dynamics, static_loads
+from .vehicle import ControlInput, VehicleParams, VehicleState, dynamics
 
 RESIDUAL_TOL = 1e-8
 MAX_ITER = 100
@@ -47,16 +47,14 @@ class DriftEquilibrium:
 
 def default_seed(R_eq: float, params: VehicleParams) -> tuple[float, float, float]:
     """Seed inside the drift basin for sedan-scale parameters."""
-    _, F_zr = static_loads(params)
-    return (10.0, -0.5 * math.copysign(1.0, R_eq), 0.5 * params.mu * F_zr)
+    return (10.0, -0.5 * math.copysign(1.0, R_eq), 0.5 * params.F_r_max)
 
 
 def _residual(z: np.ndarray, delta_eq: float, R_eq: float,
               params: VehicleParams) -> np.ndarray | None:
     V, beta, F_xr = z.tolist()  # Python floats: same bits as NumPy scalars, faster
     try:
-        dv = dynamics(VehicleState(V, beta, V / R_eq),
-                      ControlInput(delta_eq, F_xr), params)
+        dv = dynamics(V, beta, V / R_eq, delta_eq, F_xr, params)
     except (FrictionCircleError, DegenerateSpeedError):
         return None
     return np.array(dv)
@@ -65,8 +63,7 @@ def _residual(z: np.ndarray, delta_eq: float, R_eq: float,
 def _newton(seed, delta_eq: float, R_eq: float,
             params: VehicleParams) -> np.ndarray | None:
     """Damped Newton with forward-difference Jacobian; None if it fails."""
-    _, F_zr = static_loads(params)
-    f_cap = params.mu * F_zr * (1.0 - 1e-12)
+    f_cap = params.F_r_max * (1.0 - 1e-12)
     z = np.array(seed, dtype=float)
     z[0] = max(z[0], 0.5)
     z[2] = min(max(z[2], -f_cap), f_cap)

@@ -36,21 +36,13 @@ class GpDataset:
             raise ConfigError("dataset contains non-finite values")
 
 
-def matern52(theta_i, theta_j, sigma_eta2: float, lengthscales) -> float:
-    """Matern-5/2 covariance between two points.
+def matern52_matrix(Xa: np.ndarray, Xb: np.ndarray, sigma_eta2: float,
+                    lengthscales: np.ndarray) -> np.ndarray:
+    """Matern-5/2 covariances between the rows of Xa and the rows of Xb.
 
     The distance is the Euclidean norm of the elementwise-scaled
     difference, so anisotropic lengthscales are supported.
     """
-    diff = (np.asarray(theta_i, float) - np.asarray(theta_j, float)) \
-        / np.asarray(lengthscales, float)
-    rho = float(np.linalg.norm(diff))
-    return sigma_eta2 * (1.0 + SQRT5 * rho + (5.0 / 3.0) * rho * rho) \
-        * math.exp(-SQRT5 * rho)
-
-
-def matern52_matrix(Xa: np.ndarray, Xb: np.ndarray, sigma_eta2: float,
-                    lengthscales: np.ndarray) -> np.ndarray:
     A = Xa / lengthscales
     Bm = Xb / lengthscales
     d2 = np.maximum(

@@ -25,7 +25,7 @@ from .paths import (PATH_KINDS, ClothoidSpec, EightSpec, PathTable,
 from .tracking import AptParams, apt_radius, default_radius_grid, ppt_radius, steer_feedback
 from .vehicle import (MU_NOMINAL, MU_SLIPPERY, ControlInput, ControlLimits, Pose,
                       VehicleParams, default_limits, default_vehicle_params,
-                      static_loads, step, wrap_angle)
+                      step, wrap_angle)
 
 # mode -> components of theta = (delta_eq, w_r, w_e) it learns; the rest
 # stay at the scenario's apt values.  A mode runs the adaptive radius law
@@ -184,8 +184,6 @@ def run_episode(scenario: Scenario, theta=None,
     model_params = scenario.model_params
     plant_params = scenario.plant_params
     n_steps = scenario.n_steps
-    _, F_zr_plant = static_loads(plant_params)
-    plant_force_cap = plant_params.mu * F_zr_plant
     radius_grid = default_radius_grid()
     use_apt_law = 1 in FREE_COMPONENTS[mode]
 
@@ -256,7 +254,7 @@ def run_episode(scenario: Scenario, theta=None,
             failed, reason = True, f"controller failure at step {k}: {exc}"
             break
         # the plant's rear tire cannot exceed its own friction circle
-        F_applied = min(sol.u_next.F_xr, plant_force_cap)
+        F_applied = min(sol.u_next.F_xr, plant_params.F_r_max)
         u = ControlInput(sol.u_next.delta, F_applied)
 
         # TRACE_COLUMNS order; delta_eq equals delta_hat unless holding

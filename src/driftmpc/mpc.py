@@ -15,7 +15,7 @@ import numpy as np
 from .equilibrium import DriftEquilibrium
 from .errors import ConfigError, FrictionCircleError, InfeasibleQpError
 from .qp import solve_qp
-from .vehicle import ControlInput, ControlLimits, VehicleParams, VehicleState, dynamics
+from .vehicle import ControlInput, ControlLimits, VehicleParams, dynamics
 
 
 @dataclass(frozen=True)
@@ -53,13 +53,6 @@ class MpcConfig:
             raise ConfigError("dT must be positive")
 
 
-def _f(z: np.ndarray, params: VehicleParams) -> np.ndarray:
-    # Python floats give the same IEEE results as NumPy scalars, faster
-    V, beta, r, delta, F_xr = z.tolist()
-    return np.array(dynamics(VehicleState(V, beta, r),
-                             ControlInput(delta, F_xr), params))
-
-
 def linearize(dep: DriftEquilibrium, params: VehicleParams,
               dT: float) -> LinearModel:
     """Discrete affine model at the equilibrium via central differences.
@@ -70,6 +63,7 @@ def linearize(dep: DriftEquilibrium, params: VehicleParams,
     """
     z_eq = dep.as_array()
     jac = np.empty((3, 5))
+    # dynamics takes Python floats: the same IEEE results as NumPy scalars, faster
     for j in range(5):
         h = 1e-5 * (1.0 + abs(z_eq[j]))
         zp = z_eq.copy()
@@ -77,10 +71,12 @@ def linearize(dep: DriftEquilibrium, params: VehicleParams,
         zm = z_eq.copy()
         zm[j] -= h
         try:
-            jac[:, j] = (_f(zp, params) - _f(zm, params)) / (2.0 * h)
+            jac[:, j] = np.subtract(dynamics(*zp.tolist(), params),
+                                    dynamics(*zm.tolist(), params)) / (2.0 * h)
         except FrictionCircleError:
             # equilibrium force sits at the circle cap; difference one-sided
-            jac[:, j] = (_f(z_eq, params) - _f(zm, params)) / h
+            jac[:, j] = np.subtract(dynamics(*z_eq.tolist(), params),
+                                    dynamics(*zm.tolist(), params)) / h
     x_eq, u_eq = z_eq[:3], z_eq[3:]
     A = np.eye(3) + jac[:, :3] * dT
     B = jac[:, 3:] * dT

@@ -46,8 +46,8 @@ def _cho_factor(H: np.ndarray) -> np.ndarray:
     """Upper Cholesky factor of H (lower triangle left unspecified)."""
     c, info = dpotrf(H, lower=0, clean=0)
     if info > 0:
-        raise np.linalg.LinAlgError(
-            f"{info}-th leading minor of the array is not positive definite")
+        raise ConfigError(
+            f"Hessian is not positive definite (leading minor {info})")
     return c
 
 
@@ -83,7 +83,8 @@ def solve_qp(H: np.ndarray, g: np.ndarray, A: np.ndarray, b: np.ndarray,
              x0: np.ndarray | None = None) -> QpResult:
     """Minimize 0.5 x'Hx + g'x subject to Ax <= b, starting from x0 (zero
     by default), which must be feasible.  H, g, A and x0 must be finite; b
-    may hold +inf for an absent bound but no NaN."""
+    may hold +inf for an absent bound but no NaN.  H must be positive
+    definite."""
     n = H.shape[0]
     m = A.shape[0] if A is not None and A.size else 0
     if m == 0:
@@ -93,9 +94,12 @@ def solve_qp(H: np.ndarray, g: np.ndarray, A: np.ndarray, b: np.ndarray,
             and np.isfinite(A).all() and not np.isnan(b).any()
             and (x0 is None or np.isfinite(x0).all())):
         raise ConfigError("QP data must be finite (b may hold +inf)")
+    h_diag = np.diag(H)
+    if not (h_diag > 0.0).all():
+        raise ConfigError("Hessian diagonal must be strictly positive")
 
     # symmetric diagonal equilibration: work on x = D z with D = H_ii^(-1/2)
-    d = 1.0 / np.sqrt(np.diag(H))
+    d = 1.0 / np.sqrt(h_diag)
     Hs = H * d[:, None] * d[None, :]
     gs = g * d
     As = A * d[None, :]

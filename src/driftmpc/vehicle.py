@@ -40,6 +40,17 @@ class VehicleParams:
             raise ConfigError("m, I_z, a, b, B, C must all be positive")
         if not 0.0 < self.mu <= 2.0:
             raise ConfigError(f"friction coefficient out of range: {self.mu}")
+        # derived once per parameter set, as attributes rather than fields so
+        # asdict() and the scenario files hold only the values above.  The
+        # loads are static: there is no longitudinal weight transfer.
+        wheelbase = self.a + self.b
+        F_zf = self.m * self.g * self.b / wheelbase
+        F_zr = self.m * self.g * self.a / wheelbase
+        derived = {"F_zf": F_zf,               # front vertical load [N]
+                   "F_zr": F_zr,               # rear vertical load [N]
+                   "F_r_max": self.mu * F_zr}  # rear friction-circle radius [N]
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -90,73 +101,38 @@ class Pose:
     phi: float  # heading angle, wrapped to (-pi, pi] [rad]
 
 
-def static_loads(params: VehicleParams) -> tuple[float, float]:
-    """Static front/rear vertical loads (F_zf, F_zr) in N.
+def dynamics(V: float, beta: float, r: float, delta: float, F_xr: float,
+             params: VehicleParams) -> tuple[float, float, float]:
+    """Continuous-time state derivatives (dV, dbeta, dr) on plain floats.
 
-    Static distribution only; there is no longitudinal weight transfer in
-    this model.
+    The front tire follows the simplified Pacejka model.  The rear tire is
+    saturated: its lateral force is the friction-circle remainder after
+    F_xr, opposing the rear slip angle.  The two-argument arctangent keeps
+    the slip angles valid at large sideslip (|beta| near pi/2).
     """
-    wheelbase = params.a + params.b
-    F_zf = params.m * params.g * params.b / wheelbase
-    F_zr = params.m * params.g * params.a / wheelbase
-    return F_zf, F_zr
-
-
-def slip_angles(state: VehicleState, delta: float,
-                params: VehicleParams) -> tuple[float, float]:
-    """Front and rear tire sideslip angles (alpha_f, alpha_r) in rad.
-
-    Uses the two-argument arctangent so large sideslip (|beta| near pi/2)
-    is handled.
-    """
-    if state.V <= V_FLOOR:
-        raise DegenerateSpeedError(f"V={state.V:.3f} m/s is below {V_FLOOR} m/s")
-    vx = state.V * math.cos(state.beta)
-    vy = state.V * math.sin(state.beta)
-    alpha_f = math.atan2(vy + params.a * state.r, vx) - delta
-    alpha_r = math.atan2(vy - params.b * state.r, vx)
-    return alpha_f, alpha_r
-
-
-def lateral_force(alpha: float, F_z: float, params: VehicleParams) -> float:
-    """Lateral tire force from the simplified Pacejka model [N]."""
-    return -params.mu * F_z * math.sin(params.C * math.atan(params.B * alpha))
-
-
-def rear_lateral_force(F_xr: float, F_zr: float, params: VehicleParams,
-                       alpha_r: float) -> float:
-    """Rear lateral force from the friction circle [N].
-
-    The rear tire is saturated, so the available lateral force is the
-    friction-circle remainder after the longitudinal component.  The sign
-    opposes the rear slip angle, matching the front tire's convention.
-    """
-    cap = params.mu * F_zr
+    if V <= V_FLOOR:
+        raise DegenerateSpeedError(f"V={V:.3f} m/s is below {V_FLOOR} m/s")
+    sin_b, cos_b = math.sin(beta), math.cos(beta)
+    vx, vy = V * cos_b, V * sin_b
+    alpha_f = math.atan2(vy + params.a * r, vx) - delta
+    alpha_r = math.atan2(vy - params.b * r, vx)
+    F_yf = -params.mu * params.F_zf * math.sin(params.C * math.atan(params.B * alpha_f))
+    cap = params.F_r_max
     if abs(F_xr) > cap * (1.0 + 1e-12):
         raise FrictionCircleError(
             f"|F_xr|={abs(F_xr):.1f} N exceeds mu*F_zr={cap:.1f} N")
     magnitude = math.sqrt(max(cap * cap - F_xr * F_xr, 0.0))
     if alpha_r > 0.0:
-        return -magnitude
-    if alpha_r < 0.0:
-        return magnitude
-    return 0.0
-
-
-def dynamics(state: VehicleState, control: ControlInput,
-             params: VehicleParams) -> tuple[float, float, float]:
-    """Continuous-time state derivatives (dV, dbeta, dr)."""
-    alpha_f, alpha_r = slip_angles(state, control.delta, params)
-    F_zf, F_zr = static_loads(params)
-    F_yf = lateral_force(alpha_f, F_zf, params)
-    F_yr = rear_lateral_force(control.F_xr, F_zr, params, alpha_r)
-    delta, beta = control.delta, state.beta
-    sin_b, cos_b = math.sin(beta), math.cos(beta)
+        F_yr = -magnitude
+    elif alpha_r < 0.0:
+        F_yr = magnitude
+    else:
+        F_yr = 0.0
     sin_db = math.sin(delta - beta)
     cos_db = math.cos(delta - beta)
-    dV = (-F_yf * sin_db + F_yr * sin_b + control.F_xr * cos_b) / params.m
-    dbeta = ((F_yf * cos_db + F_yr * cos_b - control.F_xr * sin_b)
-             / (params.m * state.V)) - state.r
+    dV = (-F_yf * sin_db + F_yr * sin_b + F_xr * cos_b) / params.m
+    dbeta = ((F_yf * cos_db + F_yr * cos_b - F_xr * sin_b)
+             / (params.m * V)) - r
     dr = (params.a * F_yf * math.cos(delta) - params.b * F_yr) / params.I_z
     return dV, dbeta, dr
 
@@ -180,23 +156,24 @@ def step(state: VehicleState, pose: Pose, control: ControlInput,
     X, Y, phi = pose.X, pose.Y, pose.phi
     # stage i evaluates (dV, dbeta, dr) from the model and the pose rates
     # (V cos(phi + beta), V sin(phi + beta), r) kinematically
+    delta, F_xr = control.delta, control.F_xr
     for _ in range(substeps):
-        dV1, db1, dr1 = dynamics(VehicleState(V, beta, r), control, params)
+        dV1, db1, dr1 = dynamics(V, beta, r, delta, F_xr, params)
         c1 = phi + beta
         dX1, dY1 = V * math.cos(c1), V * math.sin(c1)
         V2, b2, r2 = V + h2 * dV1, beta + h2 * db1, r + h2 * dr1
         X2, Y2, p2 = X + h2 * dX1, Y + h2 * dY1, phi + h2 * r
-        dV2, db2, dr2 = dynamics(VehicleState(V2, b2, r2), control, params)
+        dV2, db2, dr2 = dynamics(V2, b2, r2, delta, F_xr, params)
         c2 = p2 + b2
         dX2, dY2 = V2 * math.cos(c2), V2 * math.sin(c2)
         V3, b3, r3 = V + h2 * dV2, beta + h2 * db2, r + h2 * dr2
         X3, Y3, p3 = X + h2 * dX2, Y + h2 * dY2, phi + h2 * r2
-        dV3, db3, dr3 = dynamics(VehicleState(V3, b3, r3), control, params)
+        dV3, db3, dr3 = dynamics(V3, b3, r3, delta, F_xr, params)
         c3 = p3 + b3
         dX3, dY3 = V3 * math.cos(c3), V3 * math.sin(c3)
         V4, b4, r4 = V + h * dV3, beta + h * db3, r + h * dr3
         X4, Y4, p4 = X + h * dX3, Y + h * dY3, phi + h * r3
-        dV4, db4, dr4 = dynamics(VehicleState(V4, b4, r4), control, params)
+        dV4, db4, dr4 = dynamics(V4, b4, r4, delta, F_xr, params)
         c4 = p4 + b4
         dX4, dY4 = V4 * math.cos(c4), V4 * math.sin(c4)
         V, beta, r, X, Y, phi = (

@@ -15,8 +15,7 @@ from driftmpc.gp import GpDataset, gp_fit, gp_predict_batch, matern52_matrix
 from driftmpc.harness import case_scenario, run_episode, tune
 from driftmpc.mpc import augment, linearize, solve_mpc
 from driftmpc.paths import ClothoidSpec, build_clothoid
-from driftmpc.vehicle import (ControlInput, VehicleState, default_vehicle_params,
-                              dynamics, step)
+from driftmpc.vehicle import default_vehicle_params, dynamics, step
 
 SEED = 0
 
@@ -55,10 +54,9 @@ class TestCriterion1EquilibriumSweep:
         frac = len(conv) / len(cells)
         worst_resid = 0.0
         circle_ok = True
-        from driftmpc.vehicle import static_loads
-        _, F_zr = static_loads(params)
+        F_zr = params.F_zr
         for c in conv:
-            resid = np.linalg.norm(dynamics(c.eq.state(), c.eq.control(), params))
+            resid = np.linalg.norm(dynamics(*c.eq.as_array().tolist(), params))
             worst_resid = max(worst_resid, float(resid))
             circle_ok &= abs(c.eq.F_xr_eq) <= params.mu * F_zr
         ok = frac >= 0.9 and worst_resid < 1e-6 and circle_ok and elapsed < 5.0
@@ -81,7 +79,7 @@ class TestCriterion2LinearizationFidelity:
             u_eq = np.array([dep.delta_eq, dep.F_xr_eq])
 
             def f(x, u):
-                return np.array(dynamics(VehicleState(*x), ControlInput(*u), params))
+                return np.array(dynamics(*x, *u, params))
 
             f0 = f(x_eq, u_eq)
             A_fw = np.empty((3, 3))

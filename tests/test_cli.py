@@ -1,7 +1,12 @@
+import math
 import os
+
+import numpy as np
+import pytest
 
 from driftmpc.bo import CostConfig
 from driftmpc.cli import build_parser, main
+from driftmpc.equilibrium import R_EQ_MIN
 from driftmpc.harness import (FREE_COMPONENTS, EpisodeTrace, case_scenario,
                               run_episode, scenario_to_file)
 
@@ -20,6 +25,18 @@ def test_dep_sweep(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "delta,R,V,beta,r,Fxr,converged"
     assert len(lines) == 36  # 5 x 7 grid
+
+
+@pytest.mark.parametrize("radius", [-40.0, 40.0, -6.0])
+def test_dep_sweep_radii_keep_the_turn_direction(tmp_path, radius):
+    out = tmp_path / "sweep.csv"
+    assert main(["dep", "--delta", str(-math.copysign(0.52, radius)),
+                 "--radius", str(radius), "--sweep", "--out", str(out)]) == 0
+    R = np.loadtxt(out, delimiter=",", skiprows=1, usecols=1)
+    assert np.all(np.sign(R) == math.copysign(1.0, radius))
+    magnitudes = np.unique(np.abs(R))
+    assert np.allclose(magnitudes, np.linspace(max(0.5 * abs(radius), R_EQ_MIN),
+                                               1.5 * abs(radius), 7))
 
 
 def test_path_export(tmp_path):

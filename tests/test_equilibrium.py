@@ -6,7 +6,7 @@ import pytest
 from driftmpc.equilibrium import (DriftEquilibrium, SweepCell, default_seed,
                                   dep_sweep, solve_dep, sweep_to_csv)
 from driftmpc.errors import ConfigError, GripBranchError, NoConvergenceError
-from driftmpc.vehicle import dynamics, static_loads
+from driftmpc.vehicle import dynamics
 
 # frozen by a grid-seeded Newton oracle (31x47x41 sweep refined to 1e-13)
 ORACLE_52_40 = (18.89651156240952, -0.6343222925251772, 5605.632334191069)
@@ -14,7 +14,7 @@ ORACLE_40_30 = (16.41043419964366, -0.5295148680246445, 5054.950663524095)
 
 
 def residual_norm(eq: DriftEquilibrium, params) -> float:
-    return float(np.linalg.norm(dynamics(eq.state(), eq.control(), params)))
+    return float(np.linalg.norm(dynamics(*eq.as_array().tolist(), params)))
 
 
 class TestSolveDep:
@@ -54,7 +54,7 @@ class TestSolveDep:
         assert math.isclose(right.F_xr_eq, left.F_xr_eq, rel_tol=1e-6)
 
     def test_friction_circle_feasible(self, params):
-        _, F_zr = static_loads(params)
+        F_zr = params.F_zr
         for R in (20.0, 40.0, 80.0):
             eq = solve_dep(-0.45, R, params)
             assert abs(eq.F_xr_eq) <= params.mu * F_zr
@@ -115,7 +115,7 @@ class TestDepSweep:
         assert bad and all(c.eq is None for c in bad)
 
     def test_converged_cells_feasible(self, params):
-        _, F_zr = static_loads(params)
+        F_zr = params.F_zr
         cells = dep_sweep(np.linspace(-0.6, -0.3, 4), np.linspace(20, 80, 4), params)
         conv = [c for c in cells if c.converged]
         assert len(conv) >= 12

@@ -7,9 +7,28 @@ from driftmpc.bo import (CostConfig, ThetaBounds, acquire_next, bo_loop,
                          episode_cost, expected_improvement)
 from driftmpc.errors import ConfigError
 from driftmpc.gp import (GpDataset, gp_fit, gp_predict, gp_predict_batch,
-                         matern52, matern52_matrix)
+                         matern52_matrix)
 
 BOUNDS = ThetaBounds()  # stock learning box
+
+
+def matern52(theta_i, theta_j, sigma_eta2: float, lengthscales) -> float:
+    """Oracle: Matern-5/2 covariance between two points, written out on the
+    norm of the elementwise-scaled difference."""
+    diff = (np.asarray(theta_i, float) - np.asarray(theta_j, float)) \
+        / np.asarray(lengthscales, float)
+    rho = float(np.linalg.norm(diff))
+    return sigma_eta2 * (1.0 + math.sqrt(5.0) * rho + (5.0 / 3.0) * rho * rho) \
+        * math.exp(-math.sqrt(5.0) * rho)
+
+
+def matern52_pair(theta_i, theta_j, sigma_eta2: float, lengthscales) -> float:
+    """matern52_matrix on one-row inputs."""
+    K = matern52_matrix(np.atleast_2d(np.asarray(theta_i, float)),
+                        np.atleast_2d(np.asarray(theta_j, float)),
+                        sigma_eta2, np.asarray(lengthscales, float))
+    assert K.shape == (1, 1)
+    return float(K[0, 0])
 
 
 def naive_posterior(X, y, Xs, sigma_eta2, ell, noise):
@@ -24,20 +43,20 @@ def naive_posterior(X, y, Xs, sigma_eta2, ell, noise):
 
 class TestMatern:
     def test_same_point(self):
-        assert matern52([1, 2, 3], [1, 2, 3], 2.5, [1, 1, 1]) == 2.5
+        assert matern52_pair([1, 2, 3], [1, 2, 3], 2.5, [1, 1, 1]) == 2.5
 
     def test_decay_to_zero(self):
-        assert matern52([0, 0, 0], [100, 100, 100], 1.0, [1, 1, 1]) < 1e-12
+        assert matern52_pair([0, 0, 0], [100, 100, 100], 1.0, [1, 1, 1]) < 1e-12
 
     def test_unit_distance_value(self):
-        k = matern52([0.0], [1.0], 1.0, [1.0])
+        k = matern52_pair([0.0], [1.0], 1.0, [1.0])
         expected = (1 + math.sqrt(5) + 5 / 3) * math.exp(-math.sqrt(5))
         assert math.isclose(k, expected, rel_tol=1e-14)
         assert math.isclose(k, 0.523994108831820, rel_tol=1e-12)
 
     def test_anisotropic_scaling(self):
-        k_iso = matern52([0, 0], [1, 0], 1.0, [0.5, 0.5])
-        k_aniso = matern52([0, 0], [2, 0], 1.0, [1.0, 0.5])
+        k_iso = matern52_pair([0, 0], [1, 0], 1.0, [0.5, 0.5])
+        k_aniso = matern52_pair([0, 0], [2, 0], 1.0, [1.0, 0.5])
         assert math.isclose(k_iso, k_aniso, rel_tol=1e-14)
 
     def test_matrix_matches_scalar(self, rng):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -12,7 +13,7 @@ from driftmpc.errors import ConfigError, DriftMpcError, InfeasibleQpError
 from driftmpc.mpc import (AugmentedModel, MpcConfig, _condense, _constraints,
                           augment, linearize, solve_mpc)
 from driftmpc.qp import solve_qp
-from driftmpc.vehicle import ControlInput, ControlLimits, VehicleState, dynamics
+from driftmpc.vehicle import ControlLimits, dynamics
 
 
 @pytest.fixture(scope="module")
@@ -87,7 +88,7 @@ def forward_fd_jacobians(dep, params):
     u_eq = np.array([dep.delta_eq, dep.F_xr_eq])
 
     def f(x, u):
-        return np.array(dynamics(VehicleState(*x), ControlInput(*u), params))
+        return np.array(dynamics(*x, *u, params))
 
     f0 = f(x_eq, u_eq)
     A = np.empty((3, 3))
@@ -187,6 +188,14 @@ class TestSolveQp:
         data[field].flat[0] = math.nan
         with pytest.raises(DriftMpcError):
             solve_qp(**data)
+
+    @pytest.mark.parametrize("H", [np.diag([0.0, 1.0]), np.diag([-1.0, 1.0]),
+                                   np.array([[1.0, 2.0], [2.0, 1.0]])])
+    def test_indefinite_hessian_is_a_classified_failure(self, H):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DriftMpcError):
+                solve_qp(H, np.ones(2), np.eye(2), np.ones(2))
 
     def test_infinite_bound_is_absent(self):
         H = np.array([[2.0]])

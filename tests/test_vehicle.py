@@ -1,22 +1,83 @@
 import math
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driftmpc import vehicle
 from driftmpc.errors import (ConfigError, DegenerateSpeedError, DriftMpcError,
                              FrictionCircleError)
-from driftmpc.vehicle import (ControlInput, Pose, VehicleParams, VehicleState,
-                              default_vehicle_params, dynamics, lateral_force,
-                              rear_lateral_force, slip_angles, static_loads,
+from driftmpc.vehicle import (V_FLOOR, ControlInput, Pose, VehicleParams,
+                              VehicleState, default_vehicle_params, dynamics,
                               step, wrap_angle)
+
+# Oracle: the model as separate tire helpers over the state and input
+# dataclasses; the float kernel `dynamics` must reproduce it bit for bit.
+
+
+def static_loads(params: VehicleParams) -> tuple[float, float]:
+    """Static front/rear vertical loads (F_zf, F_zr) in N."""
+    wheelbase = params.a + params.b
+    F_zf = params.m * params.g * params.b / wheelbase
+    F_zr = params.m * params.g * params.a / wheelbase
+    return F_zf, F_zr
+
+
+def slip_angles(state: VehicleState, delta: float,
+                params: VehicleParams) -> tuple[float, float]:
+    """Front and rear tire sideslip angles (alpha_f, alpha_r) in rad."""
+    if state.V <= V_FLOOR:
+        raise DegenerateSpeedError(f"V={state.V:.3f} m/s is below {V_FLOOR} m/s")
+    vx = state.V * math.cos(state.beta)
+    vy = state.V * math.sin(state.beta)
+    alpha_f = math.atan2(vy + params.a * state.r, vx) - delta
+    alpha_r = math.atan2(vy - params.b * state.r, vx)
+    return alpha_f, alpha_r
+
+
+def lateral_force(alpha: float, F_z: float, params: VehicleParams) -> float:
+    """Lateral tire force from the simplified Pacejka model [N]."""
+    return -params.mu * F_z * math.sin(params.C * math.atan(params.B * alpha))
+
+
+def rear_lateral_force(F_xr: float, F_zr: float, params: VehicleParams,
+                       alpha_r: float) -> float:
+    """Rear lateral force from the friction circle [N], opposing alpha_r."""
+    cap = params.mu * F_zr
+    if abs(F_xr) > cap * (1.0 + 1e-12):
+        raise FrictionCircleError(
+            f"|F_xr|={abs(F_xr):.1f} N exceeds mu*F_zr={cap:.1f} N")
+    magnitude = math.sqrt(max(cap * cap - F_xr * F_xr, 0.0))
+    if alpha_r > 0.0:
+        return -magnitude
+    if alpha_r < 0.0:
+        return magnitude
+    return 0.0
+
+
+def dynamics_oracle(state: VehicleState, control: ControlInput,
+                    params: VehicleParams) -> tuple[float, float, float]:
+    """Continuous-time state derivatives (dV, dbeta, dr)."""
+    alpha_f, alpha_r = slip_angles(state, control.delta, params)
+    F_zf, F_zr = static_loads(params)
+    F_yf = lateral_force(alpha_f, F_zf, params)
+    F_yr = rear_lateral_force(control.F_xr, F_zr, params, alpha_r)
+    delta, beta = control.delta, state.beta
+    sin_b, cos_b = math.sin(beta), math.cos(beta)
+    sin_db = math.sin(delta - beta)
+    cos_db = math.cos(delta - beta)
+    dV = (-F_yf * sin_db + F_yr * sin_b + control.F_xr * cos_b) / params.m
+    dbeta = ((F_yf * cos_db + F_yr * cos_b - control.F_xr * sin_b)
+             / (params.m * state.V)) - state.r
+    dr = (params.a * F_yf * math.cos(delta) - params.b * F_yr) / params.I_z
+    return dV, dbeta, dr
 
 
 def _deriv6(z: tuple, control: ControlInput, params: VehicleParams) -> tuple:
     V, beta, r, _, _, phi = z
-    dV, dbeta, dr = dynamics(VehicleState(V, beta, r), control, params)
+    dV, dbeta, dr = dynamics(V, beta, r, control.delta, control.F_xr, params)
     course = phi + beta
     return (dV, dbeta, dr, V * math.cos(course), V * math.sin(course), r)
 
@@ -131,42 +192,102 @@ class TestRearLateralForce:
 
 class TestStaticLoads:
     def test_stock_values(self, params):
-        F_zf, F_zr = static_loads(params)
+        F_zf, F_zr = params.F_zf, params.F_zr
         assert math.isclose(F_zf, 1830.0 * 9.81 * 1.65 / 3.05, rel_tol=1e-12)
         assert math.isclose(F_zr, 1830.0 * 9.81 * 1.40 / 3.05, rel_tol=1e-12)
         assert math.isclose(F_zf, 9711.9, abs_tol=0.05)
         assert math.isclose(F_zr, 8240.4, abs_tol=0.05)
 
     def test_sum_is_weight(self, params):
-        F_zf, F_zr = static_loads(params)
+        F_zf, F_zr = params.F_zf, params.F_zr
         assert math.isclose(F_zf + F_zr, params.m * params.g, rel_tol=1e-14)
 
     def test_symmetric_wheelbase(self):
         p = VehicleParams(m=1000.0, I_z=2000.0, a=1.5, b=1.5, B=8.0, C=1.6, mu=1.0)
-        F_zf, F_zr = static_loads(p)
+        F_zf, F_zr = p.F_zf, p.F_zr
         assert math.isclose(F_zf, F_zr, rel_tol=1e-14)
         assert math.isclose(F_zf, 0.5 * p.m * p.g, rel_tol=1e-14)
+
+    def test_derived_values_are_not_fields(self, params):
+        assert [f.name for f in fields(VehicleParams)] == [
+            "m", "I_z", "a", "b", "B", "C", "mu", "g"]
+        assert set(asdict(params)) == {f.name for f in fields(VehicleParams)}
+
+    @pytest.mark.parametrize("mu", [0.3, 0.9, 1.2])
+    def test_derived_values_follow_replace(self, params, mu):
+        p = replace(params, mu=mu)
+        F_zf, F_zr = static_loads(p)
+        assert (p.F_zf, p.F_zr) == (F_zf, F_zr) == (params.F_zf, params.F_zr)
+        assert p.F_r_max == mu * F_zr
+        moved = replace(p, a=1.65, b=1.40)
+        assert (moved.F_zf, moved.F_zr) == static_loads(moved)
+        assert moved.F_r_max == mu * moved.F_zr != p.F_r_max
 
 
 class TestDynamics:
     def test_coasting_straight_is_stationary(self, params):
-        dV, dbeta, dr = dynamics(VehicleState(10.0, 0.0, 0.0),
-                                 ControlInput(0.0, 0.0), params)
+        dV, dbeta, dr = dynamics(10.0, 0.0, 0.0, 0.0, 0.0, params)
         assert dV == 0.0 and dbeta == 0.0 and dr == 0.0
 
     def test_mass_scaling_structure(self, params):
         # doubling m while halving g keeps every tire force identical, so
         # the translational accelerations must halve and the yaw one stay
-        state = VehicleState(12.0, -0.5, 0.4)
-        u = ControlInput(-0.3, 3000.0)
+        V, beta, r, delta, F_xr = 12.0, -0.5, 0.4, -0.3, 3000.0
         heavy = VehicleParams(m=2 * params.m, I_z=params.I_z, a=params.a,
                               b=params.b, B=params.B, C=params.C,
                               mu=params.mu, g=params.g / 2)
-        dV1, db1, dr1 = dynamics(state, u, params)
-        dV2, db2, dr2 = dynamics(state, u, heavy)
+        dV1, db1, dr1 = dynamics(V, beta, r, delta, F_xr, params)
+        dV2, db2, dr2 = dynamics(V, beta, r, delta, F_xr, heavy)
         assert math.isclose(dV2, dV1 / 2, rel_tol=1e-12)
-        assert math.isclose(db2 + state.r, (db1 + state.r) / 2, rel_tol=1e-12)
+        assert math.isclose(db2 + r, (db1 + r) / 2, rel_tol=1e-12)
         assert math.isclose(dr2, dr1, rel_tol=1e-12)
+
+
+def _bits(values) -> tuple:
+    return tuple(float(v).hex() for v in values)
+
+
+_KERNEL_ARGS = dict(
+    V=st.one_of(st.floats(-1.0, 2 * V_FLOOR), st.floats(0.0, 40.0)),
+    beta=st.floats(-3.5, 3.5), r=st.floats(-3.0, 3.0), delta=st.floats(-1.2, 1.2),
+    # at the friction-circle cap, inside and outside its 1e-12 tolerance
+    force_frac=st.one_of(st.sampled_from([-1.0, 1.0, 1.0 + 1e-13, -1.0 - 1e-11,
+                                          1.0 + 1e-11]),
+                         st.floats(-1.2, 1.2)),
+    mu=st.floats(0.05, 2.0))
+
+
+@settings(max_examples=500, deadline=None)
+@given(**_KERNEL_ARGS)
+@example(V=10.0, beta=0.0, r=0.0, delta=0.1, force_frac=0.5, mu=1.0)  # alpha_r = 0
+@example(V=V_FLOOR, beta=0.3, r=0.1, delta=0.0, force_frac=1.5, mu=1.0)
+@example(V=0.05, beta=-0.5, r=0.4, delta=-0.3, force_frac=-2.0, mu=0.9)
+def test_kernel_matches_helper_oracle(V, beta, r, delta, force_frac, mu):
+    params = default_vehicle_params(mu)
+    F_xr = force_frac * mu * static_loads(params)[1]
+    try:
+        expected = dynamics_oracle(VehicleState(V, beta, r),
+                                   ControlInput(delta, F_xr), params)
+    except DriftMpcError as exc:
+        # below the speed floor the speed error wins over an over-cap force
+        with pytest.raises(type(exc)):
+            dynamics(V, beta, r, delta, F_xr, params)
+        return
+    assert _bits(dynamics(V, beta, r, delta, F_xr, params)) == _bits(expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(**_KERNEL_ARGS)
+def test_kernel_mirror_symmetry(V, beta, r, delta, force_frac, mu):
+    params = default_vehicle_params(mu)
+    F_xr = force_frac * params.F_r_max
+    try:
+        dV, dbeta, dr = dynamics(V, beta, r, delta, F_xr, params)
+    except DriftMpcError as exc:
+        with pytest.raises(type(exc)):
+            dynamics(V, -beta, -r, -delta, F_xr, params)
+        return
+    assert dynamics(V, -beta, -r, -delta, F_xr, params) == (dV, -dbeta, -dr)
 
 
 class TestStep:
@@ -266,7 +387,7 @@ _MU = st.floats(0.3, 1.2)
 def test_step_matches_tuple_loop_oracle(V, beta, r, X, Y, phi, delta,
                                         force_frac, mu, dt, substeps):
     params = default_vehicle_params(mu)
-    F_xr = force_frac * params.mu * static_loads(params)[1]
+    F_xr = force_frac * params.F_r_max
     args = (VehicleState(V, beta, r), Pose(X, Y, phi),
             ControlInput(delta, F_xr), params, dt, substeps)
     try:
