@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Run a fixed set of driftmpc CLI commands and keep every file and every
-# stdout they produce under OUTDIR.  Run it on two trees and `diff -r` the
-# two output directories to check that a change leaves the outputs alone.
+# stdout they produce under OUTDIR, plus a digest of the QP solver on the
+# instances recorded in perfbench/data.  Run it on two trees and `diff -r`
+# the two output directories to check that a change leaves the outputs alone.
 #
 #     scripts/cli_outputs.sh OUTDIR
 #
@@ -45,3 +46,22 @@ run sim_case2 1 -- simulate --case 2 --mode almpc --theta=-0.473,0.993,2.90 --ou
 run tune -- tune --case 1 --mode almpc --init 6 --budget 12 --seed 3 --out tune
 run tune30 -- tune --case 1 --mode almpc --init 20 --budget 30 --seed 0 --out tune30
 run report -- report --traces sim_ppt/trace_ppt.csv sim_dep/trace_dep.csv --out report
+
+# qp_digest.txt, one line per recorded QP instance: its iterations, the
+# working set in the order the solver left it, and the exact bits of x
+python3 -B - "$root/perfbench" > qp_digest.txt <<'PY'
+import sys
+sys.path.insert(0, sys.argv[1])
+import qpset
+from driftmpc.errors import DriftMpcError
+from driftmpc.qp import solve_qp
+
+qps = qpset.load(sys.argv[1] + "/data/qp_instances.npz")
+for k, (H, g, b) in enumerate(zip(qps["H"], qps["g"], qps["b"])):
+    try:
+        r = solve_qp(H, g, qps["A"], b)
+    except DriftMpcError as exc:
+        print(k, type(exc).__name__)
+        continue
+    print(k, r.iterations, r.active, " ".join(float.hex(v) for v in r.x.tolist()))
+PY

@@ -50,62 +50,61 @@ def default_seed(R_eq: float, params: VehicleParams) -> tuple[float, float, floa
     return (10.0, -0.5 * math.copysign(1.0, R_eq), 0.5 * params.F_r_max)
 
 
-def _residual(z: np.ndarray, delta_eq: float, R_eq: float,
-              params: VehicleParams) -> np.ndarray | None:
-    V, beta, F_xr = z.tolist()  # Python floats: same bits as NumPy scalars, faster
+def _residual(V: float, beta: float, F_xr: float, delta_eq: float, R_eq: float,
+              params: VehicleParams) -> tuple[float, float, float] | None:
     try:
-        dv = dynamics(V, beta, V / R_eq, delta_eq, F_xr, params)
+        return dynamics(V, beta, V / R_eq, delta_eq, F_xr, params)
     except (FrictionCircleError, DegenerateSpeedError):
         return None
-    return np.array(dv)
 
 
 def _newton(seed, delta_eq: float, R_eq: float,
             params: VehicleParams) -> np.ndarray | None:
-    """Damped Newton with forward-difference Jacobian; None if it fails."""
+    """Damped Newton with forward-difference Jacobian; None if it fails.
+
+    The iterate and the residuals are Python floats, which round exactly as
+    NumPy's element-wise operations do; only the 3x3 step solve and the
+    residual norm go through NumPy."""
     f_cap = params.F_r_max * (1.0 - 1e-12)
-    z = np.array(seed, dtype=float)
-    z[0] = max(z[0], 0.5)
-    z[2] = min(max(z[2], -f_cap), f_cap)
-    res = _residual(z, delta_eq, R_eq, params)
+    V, beta, F_xr = map(float, seed)
+    z = [max(V, 0.5), beta, min(max(F_xr, -f_cap), f_cap)]
+    res = _residual(*z, delta_eq, R_eq, params)
     if res is None:
         return None
     for _ in range(MAX_ITER):
         norm0 = float(np.linalg.norm(res))
         if norm0 < RESIDUAL_TOL:
-            return z
-        jac = np.empty((3, 3))
+            return np.array(z)
+        cols = []
         for j in range(3):
             h = 1e-6 * (1.0 + abs(z[j]))
             zp = z.copy()
             zp[j] += h
-            res_p = _residual(zp, delta_eq, R_eq, params)
+            res_p = _residual(*zp, delta_eq, R_eq, params)
             if res_p is None:  # stepped outside the domain; try backward
                 zp[j] -= 2.0 * h
-                res_p = _residual(zp, delta_eq, R_eq, params)
+                res_p = _residual(*zp, delta_eq, R_eq, params)
                 if res_p is None:
                     return None
-                jac[:, j] = (res - res_p) / h
+                cols.append([(r - rp) / h for r, rp in zip(res, res_p)])
             else:
-                jac[:, j] = (res_p - res) / h
+                cols.append([(rp - r) / h for r, rp in zip(res, res_p)])
         try:
-            dz = np.linalg.solve(jac, -res)
+            dz = np.linalg.solve(np.array(cols).T, [-r for r in res]).tolist()
         except np.linalg.LinAlgError:
             return None
         # backtracking line search with domain projection
         lam = 1.0
-        accepted = False
         for _ in range(25):
-            zt = z + lam * dz
+            zt = [zi + lam * dzi for zi, dzi in zip(z, dz)]
             zt[0] = max(zt[0], 0.5)
             zt[2] = min(max(zt[2], -f_cap), f_cap)
-            res_t = _residual(zt, delta_eq, R_eq, params)
+            res_t = _residual(*zt, delta_eq, R_eq, params)
             if res_t is not None and float(np.linalg.norm(res_t)) < norm0:
                 z, res = zt, res_t
-                accepted = True
                 break
             lam *= 0.5
-        if not accepted:
+        else:
             return None
     return None
 

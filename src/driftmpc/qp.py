@@ -110,12 +110,15 @@ def solve_qp(H: np.ndarray, g: np.ndarray, A: np.ndarray, b: np.ndarray,
 
     chol = _cho_factor(Hs)
     working: list[int] = []
+    hinv_rows: list[np.ndarray] = []  # H^-1 a_i for each working row, in order
     for it in range(1, MAX_ITER + 1):
         grad = Hs @ z + gs
         if working:
             Aw = As[working]
             hinv_grad = _cho_solve(chol, grad)
-            hinv_awt = _cho_solve(chol, Aw.T)
+            # n x n_w in Fortran order: BLAS rounds the products below
+            # differently for a C-ordered copy
+            hinv_awt = np.array(hinv_rows).T
             gram = Aw @ hinv_awt
             rhs = -(Aw @ hinv_grad)
             try:
@@ -128,32 +131,36 @@ def solve_qp(H: np.ndarray, g: np.ndarray, A: np.ndarray, b: np.ndarray,
             p = -_cho_solve(chol, grad)
 
         step_scale = max(1.0, float(np.abs(z).max(initial=0.0)))
-        stationary = float(np.abs(p).max(initial=0.0)) < 1e-9 * step_scale
+        p_max = float(np.abs(p).max(initial=0.0))
+        stationary = p_max < 1e-9 * step_scale
         if not stationary:
-            # longest step before a new constraint blocks
+            # longest step before a new constraint blocks; a row is a
+            # candidate only if p moves into it by more than rounding
+            # relative to |p|, so a row that the working set implies (and
+            # that would make the Gram matrix singular) never joins it
             alpha = 1.0
             blocking = -1
             if m:
                 ap = As @ p
-                slack = b - As @ z
-                candidates = ap > FEAS_TOL
+                candidates = ap > FEAS_TOL * max(1.0, p_max)
                 candidates[working] = False
-                if candidates.any():
-                    ratios = np.full(m, np.inf)
-                    ratios[candidates] = slack[candidates] / ap[candidates]
-                    i_min = int(np.argmin(ratios))
-                    if ratios[i_min] < alpha:
-                        alpha = max(float(ratios[i_min]), 0.0)
-                        blocking = i_min
+                idx = np.flatnonzero(candidates)
+                if idx.size:
+                    ratios = (b - As @ z)[idx] / ap[idx]
+                    k = int(np.argmin(ratios))
+                    if ratios[k] < alpha:
+                        alpha = max(float(ratios[k]), 0.0)
+                        blocking = int(idx[k])
             z = z + alpha * p
             if blocking >= 0:
                 working.append(blocking)
+                hinv_rows.append(_cho_solve(chol, As[blocking]))
                 continue
             # full step: z is now the subproblem minimizer and lam_w is its
             # multiplier vector, so fall through to the optimality check
         if working and float(lam_w.min()) < -MULT_TOL * max(1.0, float(np.abs(lam_w).max())):
-            drop = working[int(np.argmin(lam_w))]
-            working.remove(drop)
+            k = int(np.argmin(lam_w))
+            del working[k], hinv_rows[k]
             continue
         zp, lam_p = _polish(Hs, gs, As, b, working, n, chol)
         lam = np.zeros(m)

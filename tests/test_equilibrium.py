@@ -1,12 +1,17 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from driftmpc import equilibrium
 from driftmpc.equilibrium import (DriftEquilibrium, SweepCell, default_seed,
                                   dep_sweep, solve_dep, sweep_to_csv)
-from driftmpc.errors import ConfigError, GripBranchError, NoConvergenceError
-from driftmpc.vehicle import dynamics
+from driftmpc.errors import (ConfigError, DegenerateSpeedError, FrictionCircleError,
+                             GripBranchError, NoConvergenceError)
+from driftmpc.vehicle import default_vehicle_params, dynamics
 
 # frozen by a grid-seeded Newton oracle (31x47x41 sweep refined to 1e-13)
 ORACLE_52_40 = (18.89651156240952, -0.6343222925251772, 5605.632334191069)
@@ -15,6 +20,107 @@ ORACLE_40_30 = (16.41043419964366, -0.5295148680246445, 5054.950663524095)
 
 def residual_norm(eq: DriftEquilibrium, params) -> float:
     return float(np.linalg.norm(dynamics(*eq.as_array().tolist(), params)))
+
+
+# Oracle: the damped Newton on NumPy arrays; equilibrium._newton, which
+# carries its iterate and residuals as floats, must reproduce it bit for bit.
+
+def residual_oracle(z, delta_eq, R_eq, params):
+    V, beta, F_xr = z.tolist()
+    try:
+        dv = dynamics(V, beta, V / R_eq, delta_eq, F_xr, params)
+    except (FrictionCircleError, DegenerateSpeedError):
+        return None
+    return np.array(dv)
+
+
+def newton_oracle(seed, delta_eq, R_eq, params):
+    f_cap = params.F_r_max * (1.0 - 1e-12)
+    z = np.array(seed, dtype=float)
+    z[0] = max(z[0], 0.5)
+    z[2] = min(max(z[2], -f_cap), f_cap)
+    res = residual_oracle(z, delta_eq, R_eq, params)
+    if res is None:
+        return None
+    for _ in range(equilibrium.MAX_ITER):
+        norm0 = float(np.linalg.norm(res))
+        if norm0 < equilibrium.RESIDUAL_TOL:
+            return z
+        jac = np.empty((3, 3))
+        for j in range(3):
+            h = 1e-6 * (1.0 + abs(z[j]))
+            zp = z.copy()
+            zp[j] += h
+            res_p = residual_oracle(zp, delta_eq, R_eq, params)
+            if res_p is None:
+                zp[j] -= 2.0 * h
+                res_p = residual_oracle(zp, delta_eq, R_eq, params)
+                if res_p is None:
+                    return None
+                jac[:, j] = (res - res_p) / h
+            else:
+                jac[:, j] = (res_p - res) / h
+        try:
+            dz = np.linalg.solve(jac, -res)
+        except np.linalg.LinAlgError:
+            return None
+        lam = 1.0
+        accepted = False
+        for _ in range(25):
+            zt = z + lam * dz
+            zt[0] = max(zt[0], 0.5)
+            zt[2] = min(max(zt[2], -f_cap), f_cap)
+            res_t = residual_oracle(zt, delta_eq, R_eq, params)
+            if res_t is not None and float(np.linalg.norm(res_t)) < norm0:
+                z, res = zt, res_t
+                accepted = True
+                break
+            lam *= 0.5
+        if not accepted:
+            return None
+    return None
+
+
+def newton_outcome(newton, *args):
+    z = newton(*args)
+    return None if z is None else (z.dtype, z.shape, z.tobytes())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-1.0, 0.6), st.floats(5.0, 100.0), st.sampled_from([-1.0, 1.0]),
+       st.floats(0.3, 1.2),
+       st.one_of(st.none(), st.tuples(st.floats(-5.0, 30.0), st.floats(-2.0, 2.0),
+                                      st.floats(-1.2, 1.2))),
+       st.booleans())
+def test_newton_matches_array_oracle(delta, R, sign, mu, seed, as_array):
+    """Converging and failing solves alike, from the default seed or a
+    random one (outside the speed floor and the friction cap included)."""
+    params = replace(default_vehicle_params(), mu=mu)
+    R *= sign
+    if seed is None:
+        seed = default_seed(R, params)
+    else:
+        seed = (seed[0], seed[1], seed[2] * params.F_r_max)
+    if as_array:
+        seed = np.array(seed)
+    args = (seed, delta, R, params)
+    assert newton_outcome(equilibrium._newton, *args) == newton_outcome(newton_oracle, *args)
+
+
+def test_newton_oracle_grid_covers_both_outcomes(params):
+    """solve_dep's seed set over a (delta, R) grid that holds drift, grip
+    and non-converging cells: every outcome matches the oracle."""
+    outcomes = []
+    for delta in np.linspace(-1.0, 0.4, 8):
+        for R in (5.0, 12.0, 40.0, -90.0):
+            base = default_seed(R, params)
+            for seed in (base, (base[0] * 1.6, base[1] * 1.4, base[2]),
+                         (base[0] * 0.6, base[1] * 0.7, base[2] * 1.3)):
+                args = (seed, float(delta), R, params)
+                got = newton_outcome(equilibrium._newton, *args)
+                assert got == newton_outcome(newton_oracle, *args)
+                outcomes.append(got is None)
+    assert any(outcomes) and not all(outcomes)
 
 
 class TestSolveDep:

@@ -1,0 +1,234 @@
+"""Same-bits and certificate checks for the active-set QP solver.
+
+The oracle below is the solver as it was before it kept H^-1 a_i per
+working row: it re-solves cho_solve(chol, Aw.T) for the whole working set
+on every iteration and runs the ratio test over a full-length mask.
+solve_qp must reproduce it bit for bit.
+"""
+import functools
+import importlib
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from driftmpc import qp
+from driftmpc.equilibrium import solve_dep
+from driftmpc.errors import DriftMpcError, QpIterationLimitError
+from driftmpc.mpc import MpcConfig, _constraints, augment, linearize, solve_mpc
+from driftmpc.qp import QpResult, solve_qp
+from driftmpc.vehicle import default_limits, default_vehicle_params
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+KKT_GATE = 1e-6        # acceptance criterion 3
+DEGENERATE_INSTANCE = 5  # the recorded QP the absolute candidate test got wrong
+
+
+def solve_qp_oracle(H, g, A, b, x0=None, scaled_candidates=True):
+    """Oracle: solve_qp with the whole working set re-solved per iteration.
+
+    scaled_candidates=False gives the absolute candidate test ap > FEAS_TOL,
+    which lets a row that depends on the working set up to rounding join
+    it (recorded instance 5 comes back infeasible by 0.15)."""
+    n = H.shape[0]
+    m = A.shape[0]
+    d = 1.0 / np.sqrt(np.diag(H))
+    Hs = H * d[:, None] * d[None, :]
+    gs = g * d
+    As = A * d[None, :]
+    z = np.zeros(n) if x0 is None else np.asarray(x0, float) / d
+    chol = qp._cho_factor(Hs)
+    working = []
+    for it in range(1, qp.MAX_ITER + 1):
+        grad = Hs @ z + gs
+        if working:
+            Aw = As[working]
+            hinv_grad = qp._cho_solve(chol, grad)
+            hinv_awt = qp._cho_solve(chol, Aw.T)
+            gram = Aw @ hinv_awt
+            rhs = -(Aw @ hinv_grad)
+            try:
+                lam_w = np.linalg.solve(gram, rhs)
+            except np.linalg.LinAlgError:
+                lam_w = np.linalg.lstsq(gram, rhs, rcond=None)[0]
+            p = -(hinv_grad + hinv_awt @ lam_w)
+        else:
+            lam_w = np.zeros(0)
+            p = -qp._cho_solve(chol, grad)
+        step_scale = max(1.0, float(np.abs(z).max(initial=0.0)))
+        p_max = float(np.abs(p).max(initial=0.0))
+        if not p_max < 1e-9 * step_scale:
+            alpha = 1.0
+            blocking = -1
+            if m:
+                ap = As @ p
+                slack = b - As @ z
+                tol = qp.FEAS_TOL * (max(1.0, p_max) if scaled_candidates else 1.0)
+                candidates = ap > tol
+                candidates[working] = False
+                if candidates.any():
+                    ratios = np.full(m, np.inf)
+                    ratios[candidates] = slack[candidates] / ap[candidates]
+                    i_min = int(np.argmin(ratios))
+                    if ratios[i_min] < alpha:
+                        alpha = max(float(ratios[i_min]), 0.0)
+                        blocking = i_min
+            z = z + alpha * p
+            if blocking >= 0:
+                working.append(blocking)
+                continue
+        if working and float(lam_w.min()) < -qp.MULT_TOL * max(1.0, float(np.abs(lam_w).max())):
+            working.remove(working[int(np.argmin(lam_w))])
+            continue
+        zp, lam_p = qp._polish(Hs, gs, As, b, working, n, chol)
+        lam = np.zeros(m)
+        lam[working] = np.maximum(lam_p, 0.0)
+        return QpResult(x=zp * d, lam=lam, iterations=it, active=list(working))
+    raise QpIterationLimitError("oracle iteration limit")
+
+
+def outcome(solver, *args, **kwargs):
+    """Everything a solve returns, as exact bytes, or the error type."""
+    try:
+        r = solver(*args, **kwargs)
+    except DriftMpcError as exc:
+        return type(exc)
+    return r.x.tobytes(), r.lam.tobytes(), r.iterations, r.active
+
+
+def certificate(result, H, g, A, b) -> float:
+    r = result.kkt_residuals(H, g, A, b)
+    return max(r["stationarity"], r["feasibility"], r["complementarity"])
+
+
+@pytest.fixture(scope="module")
+def recorded():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))
+        return importlib.import_module("qpset").load(PERFBENCH / "data" / "qp_instances.npz")
+
+
+def test_recorded_instances_match_oracle(recorded):
+    A = recorded["A"]
+    for k, (H, g, b) in enumerate(zip(recorded["H"], recorded["g"], recorded["b"])):
+        if k == DEGENERATE_INSTANCE:
+            continue
+        got = outcome(solve_qp, H, g, A, b)
+        assert got == outcome(solve_qp_oracle, H, g, A, b), k
+        # the scale-relative candidate test moves no bit here either
+        assert got == outcome(solve_qp_oracle, H, g, A, b, scaled_candidates=False), k
+
+
+def test_degenerate_recorded_instance_is_certified(recorded):
+    k = DEGENERATE_INSTANCE
+    H, g, b, A = recorded["H"][k], recorded["g"][k], recorded["b"][k], recorded["A"]
+    res = solve_qp(H, g, A, b)
+    assert certificate(res, H, g, A, b) < KKT_GATE
+    assert outcome(solve_qp, H, g, A, b) == outcome(solve_qp_oracle, H, g, A, b)
+    absolute = solve_qp_oracle(H, g, A, b, scaled_candidates=False)
+    assert certificate(absolute, H, g, A, b) > 0.1
+
+
+@st.composite
+def degenerate_qps(draw):
+    """Strictly convex QPs feasible at zero whose rows include exact copies,
+    scaled copies, sums of earlier rows, rows tight at zero, equality
+    pairs and absent (+inf) bounds."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 8))
+    kinds = draw(st.lists(st.sampled_from(
+        ["random", "tight", "copy", "scaled", "sum", "opposite", "absent"]), max_size=20))
+    M = rng.normal(size=(n, n))
+    H = M @ M.T + rng.uniform(0.01, 2.0) * np.eye(n)
+    g = rng.normal(size=n) * 10.0 ** rng.uniform(-1.0, 3.0)
+    rows, rhs = [], []
+    for kind in kinds:
+        if kind in ("random", "tight", "absent") or not rows:
+            rows.append(rng.normal(size=n))
+            rhs.append({"tight": 0.0, "absent": math.inf}.get(kind, rng.uniform(0.1, 2.0)))
+            continue
+        i, j = rng.integers(len(rows), size=2)
+        if kind == "copy":
+            rows.append(rows[i].copy())
+            rhs.append(rhs[i])
+        elif kind == "scaled":
+            c = rng.uniform(0.1, 10.0)
+            rows.append(c * rows[i])
+            rhs.append(c * rhs[i])
+        elif kind == "sum":
+            rows.append(rows[i] + rows[j])
+            rhs.append(rhs[i] + rhs[j])
+        else:  # opposite: an equality pair when row i is tight at zero
+            rows.append(-rows[i])
+            rhs.append(0.0 if rhs[i] == 0.0 else rng.uniform(0.1, 2.0))
+    A = np.array(rows).reshape(len(rows), n)
+    return H, g, A, np.array(rhs, dtype=float)
+
+
+@st.composite
+def mpc_shaped_qps(draw):
+    """Random Hessians on the MPC constraint structure, with the previous
+    input on a bound so rate rows and prefix-sum rows are parallel and
+    every prefix-sum row on that bound is tight at zero."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_c = draw(st.integers(1, 6))
+    limits = default_limits()
+    con = _constraints(MpcConfig(N_p=n_c, N_c=n_c), limits)
+    where = draw(st.tuples(*[st.sampled_from(["lo", "hi", "mid"])] * 2))
+    u_prev = np.array([{"lo": lo, "hi": hi, "mid": 0.5 * (lo + hi)}[w]
+                       for w, lo, hi in zip(where, con.lo, con.hi)])
+    nv = 2 * n_c
+    S = rng.normal(size=(3 * nv, nv))
+    H = 2.0 * (S.T @ S + np.diag(np.tile([1.0, 1e-6], n_c)))
+    g = rng.normal(size=nv) * 10.0 ** rng.uniform(0.0, 4.0)
+    b = np.concatenate([con.b_rate, np.tile(con.hi - u_prev, n_c),
+                        np.tile(u_prev - con.lo, n_c)])
+    return H, g, con.A, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(degenerate_qps(), mpc_shaped_qps()))
+def test_random_instances_match_oracle(instance):
+    assert outcome(solve_qp, *instance) == outcome(solve_qp_oracle, *instance)
+
+
+@settings(max_examples=60, deadline=None)
+@given(degenerate_qps(), st.floats(0.0, 0.9))
+def test_feasible_start_matches_oracle(instance, shrink):
+    H, g, A, b = instance
+    try:
+        x0 = shrink * solve_qp_oracle(H, g, A, b).x
+    except DriftMpcError:
+        return
+    if (A @ x0 - b).max(initial=0.0) > qp.FEAS_TOL:
+        return  # rounding put the point between 0 and x* outside a tight row
+    assert outcome(solve_qp, H, g, A, b, x0) == outcome(solve_qp_oracle, H, g, A, b, x0)
+
+
+@functools.lru_cache(maxsize=None)
+def _model(delta, R):
+    params = default_vehicle_params()
+    dep = solve_dep(delta, R, params)
+    return dep, augment(linearize(dep, params, MpcConfig().dT))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([(-0.52, 40.0), (-0.40, 30.0), (-0.60, 25.0), (-0.30, 60.0)]),
+       st.tuples(*[st.floats(-1.0, 1.0)] * 3), st.sampled_from([0.3, 1.5, 5.0]),
+       st.tuples(*[st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))] * 2))
+def test_mpc_certificate_with_previous_input_on_a_bound(eq, dx, scale, u_frac):
+    """Acceptance criterion 3's gate over random rate-feasible MPC
+    instances, the previous input on a bound (fraction 0 or 1) included."""
+    limits, cfg = default_limits(), MpcConfig()
+    dep, model = _model(*eq)
+    xi = dep.as_array()
+    xi[:3] += scale * np.array([1.5, 0.15, 0.15]) * np.array(dx)
+    for j, (f, lo, hi) in enumerate(zip(u_frac, (limits.delta_min, limits.F_min),
+                                        (limits.delta_max, limits.F_max))):
+        xi[3 + j] = {0.0: lo, 1.0: hi}.get(f, lo + f * (hi - lo))
+    sol = solve_mpc(xi, dep, model, cfg, limits)
+    assert max(sol.kkt["stationarity"], sol.kkt["feasibility"],
+               sol.kkt["complementarity"]) < KKT_GATE
