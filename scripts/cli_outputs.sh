@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Run a fixed set of driftmpc CLI commands and keep every file and every
 # stdout they produce under OUTDIR, plus a digest of the QP solver on the
-# instances recorded in perfbench/data.  Run it on two trees and `diff -r`
-# the two output directories to check that a change leaves the outputs alone.
+# instances recorded in perfbench/data and one of two Bayesian-optimization
+# runs.  Run it on two trees and `diff -r` the two output directories to
+# check that a change leaves the outputs alone.
 #
 #     scripts/cli_outputs.sh OUTDIR
 #
@@ -64,4 +65,32 @@ for k, (H, g, b) in enumerate(zip(qps["H"], qps["g"], qps["b"])):
         print(k, type(exc).__name__)
         continue
     print(k, r.iterations, r.active, " ".join(float.hex(v) for v in r.x.tolist()))
+PY
+
+# bo_digest.txt, one line per evaluation of two bo_loop runs: the exact
+# bits of theta and of the cost.  The quadratic at noise 1e-8 (seed 0)
+# takes the EI < 1e-12 fallback on 24 of its 40 acquisitions; the bowl
+# inside a j_fail plateau fits its GP to a cliff, as tuning does
+python3 -B - > bo_digest.txt <<'PY'
+import numpy as np
+from driftmpc.bo import CostConfig, ThetaBounds, bo_loop
+
+bounds = ThetaBounds()
+width = bounds.hi - bounds.lo
+centre = np.array([-0.15, 0.9, 1.2])
+quadratic = bo_loop(lambda t: float(np.sum((t - centre) ** 2)), bounds,
+                    m=20, N=60, seed=0, noise_var=1e-8)
+bowl_centre = bounds.lo + width * np.random.default_rng(0).uniform(0.3, 0.7, 3)
+
+
+def bowl(theta):
+    u = (theta - bowl_centre) / width
+    r2 = float(u @ u)
+    return CostConfig().j_fail if r2 > 0.35 ** 2 else -2.0 + 25.0 * r2
+
+
+plateau = bo_loop(bowl, bounds, m=20, N=60, seed=0, noise_var=1e-6)
+for name, res in (("quadratic", quadratic), ("plateau", plateau)):
+    for k, (theta, cost) in enumerate(zip(res.thetas.tolist(), res.costs.tolist())):
+        print(name, k, " ".join(map(float.hex, theta)), float.hex(cost))
 PY

@@ -11,7 +11,7 @@ from scipy.special import ndtr
 from scipy.stats import qmc
 
 from .errors import ConfigError
-from .gp import GpDataset, GpModel, gp_fit, gp_predict, gp_predict_batch
+from .gp import NUGGET, GpDataset, GpModel, gp_fit, gp_predict, gp_predict_batch
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 REFIT_EVERY = 5  # bo_loop searches GP hyperparameters every this many steps
@@ -94,27 +94,26 @@ def failed_episode_cost(steps: int, cfg: CostConfig) -> float:
     return cfg.j_fail * (1.0 - 0.5 * frac)
 
 
-def expected_improvement(model: GpModel, theta, best_cost: float) -> float:
-    """Expected amount by which theta beats the incumbent (minimization)."""
-    mu, var = gp_predict(model, theta)
-    if var <= 0.0:
-        return 0.0
-    sigma = math.sqrt(var)
-    z = (best_cost - mu) / sigma
-    phi = INV_SQRT_2PI * math.exp(-0.5 * z * z)
-    Phi = 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
-    return max((best_cost - mu) * Phi + sigma * phi, 0.0)
-
-
-def _ei_batch(model: GpModel, thetas: np.ndarray, best_cost: float) -> np.ndarray:
-    mu, var = gp_predict_batch(model, thetas)
+def _ei(mu, var, best_cost: float) -> np.ndarray:
+    """Expected amount by which N(mu, var) beats the incumbent
+    (minimization), elementwise; zero where the variance is zero."""
+    mu, var = np.atleast_1d(mu, var)
     sigma = np.sqrt(var)
-    out = np.zeros(len(thetas))
+    out = np.zeros(len(mu))
     pos = sigma > 0.0
     z = (best_cost - mu[pos]) / sigma[pos]
     out[pos] = (best_cost - mu[pos]) * ndtr(z) \
         + sigma[pos] * INV_SQRT_2PI * np.exp(-0.5 * z * z)
     return np.maximum(out, 0.0)
+
+
+def expected_improvement(model: GpModel, theta, best_cost: float) -> float:
+    """Expected improvement of the GP posterior at one point."""
+    return float(_ei(*gp_predict(model, theta), best_cost)[0])
+
+
+def _ei_batch(model: GpModel, thetas: np.ndarray, best_cost: float) -> np.ndarray:
+    return _ei(*gp_predict_batch(model, thetas), best_cost)
 
 
 def acquire_next(model: GpModel, bounds: ThetaBounds, best_cost: float,
@@ -156,7 +155,7 @@ class BoResult:
 
 
 def bo_loop(runner, bounds: ThetaBounds, m: int, N: int, seed: int,
-            init_thetas=None, noise_var: float | None = None) -> BoResult:
+            init_thetas=None, noise_var: float = NUGGET) -> BoResult:
     """Space-filling initialization followed by the EI acquisition cycle.
 
     runner maps a parameter vector to its observed episode cost.  Optional
@@ -182,7 +181,6 @@ def bo_loop(runner, bounds: ThetaBounds, m: int, N: int, seed: int,
             thetas.append(t)
             costs.append(float(runner(t)))
 
-    model = None
     hypers = None
     width = bounds.hi - bounds.lo
     n_fallback = 0
@@ -191,7 +189,7 @@ def bo_loop(runner, bounds: ThetaBounds, m: int, N: int, seed: int,
         refit = (n - m) % REFIT_EVERY == 0
         model = gp_fit(dataset, bounds.lo, bounds.hi, seed=seed,
                        hypers=None if refit else hypers)
-        hypers = (model.lengthscales, model.sigma_eta2, model.noise_var)
+        hypers = (model.lengthscales, model.sigma_eta2)
         best = float(np.min(costs))
         theta_next = acquire_next(model, bounds, best, seed=seed + 1000 + n)
         # a re-acquired or zero-information point adds nothing; alternate

@@ -33,5 +33,9 @@ class QpIterationLimitError(DriftMpcError):
     """Active-set iteration limit exhausted before reaching KKT conditions."""
 
 
+class UncertifiedQpError(DriftMpcError):
+    """QP answer whose scale-relative KKT residual is too large to apply."""
+
+
 class ConfigError(DriftMpcError):
     """Invalid scenario or parameter configuration."""

@@ -19,13 +19,17 @@ from .errors import ConfigError
 SQRT5 = math.sqrt(5.0)
 MAX_JITTER_FACTOR = 1e-6
 N_STARTS = 8  # hyperparameter-search starts; the best half are polished
+# observation noise variance: episodes are deterministic, so a tiny fixed
+# nugget; a learned noise variance would absorb isolated good episodes
+# surrounded by failure-cost plateau as if they were measurement noise
+NUGGET = 1e-6
 
 
 @dataclass(frozen=True)
 class GpDataset:
     thetas: np.ndarray          # (n, d) raw parameter points
     costs: np.ndarray           # (n,) noisy observations
-    noise_var: float | None = None  # fixed observation noise, None = learned
+    noise_var: float = NUGGET   # fixed observation noise variance
 
     def __post_init__(self):
         object.__setattr__(self, "thetas", np.atleast_2d(np.asarray(self.thetas, float)))
@@ -34,6 +38,8 @@ class GpDataset:
             raise ConfigError("thetas and costs must have equal length")
         if not np.all(np.isfinite(self.thetas)) or not np.all(np.isfinite(self.costs)):
             raise ConfigError("dataset contains non-finite values")
+        if not (math.isfinite(self.noise_var) and self.noise_var >= 0.0):
+            raise ConfigError("noise_var must be finite and non-negative")
 
 
 def matern52_matrix(Xa: np.ndarray, Xb: np.ndarray, sigma_eta2: float,
@@ -55,15 +61,12 @@ def matern52_matrix(Xa: np.ndarray, Xb: np.ndarray, sigma_eta2: float,
 @dataclass
 class GpModel:
     x_norm: np.ndarray        # (n, d) normalized training inputs
-    y: np.ndarray             # (n,) observations (zero prior mean, uncentered)
     lo: np.ndarray            # (d,) box used for normalization
     hi: np.ndarray
     sigma_eta2: float         # signal variance
     lengthscales: np.ndarray  # (d,) in normalized space
-    noise_var: float          # observation noise variance
     chol: tuple               # cho_factor of K + noise I (+ jitter)
     alpha: np.ndarray         # (K + noise I)^-1 y
-    jitter: float
 
     def normalize(self, thetas: np.ndarray) -> np.ndarray:
         return (np.atleast_2d(np.asarray(thetas, float)) - self.lo) / (self.hi - self.lo)
@@ -80,12 +83,15 @@ def _merge_duplicates(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndar
     return X[[g[0] for g in groups]], np.array([float(np.mean(y[g])) for g in groups])
 
 
-def _factor(K: np.ndarray, noise_var: float, sigma_eta2: float):
+def _posterior(X: np.ndarray, y: np.ndarray, ell: np.ndarray, sigma_eta2: float,
+               noise_var: float):
+    """cho_factor of K + noise I (jittered if need be) and (K + noise I)^-1 y."""
+    K_noisy = matern52_matrix(X, X, sigma_eta2, ell) + noise_var * np.eye(len(X))
     jitter = 0.0
-    target = K + noise_var * np.eye(len(K))
     for _ in range(8):
         try:
-            return cho_factor(target + jitter * np.eye(len(K)), lower=True), jitter
+            chol = cho_factor(K_noisy + jitter * np.eye(len(X)), lower=True)
+            return chol, cho_solve(chol, y)
         except np.linalg.LinAlgError:
             jitter = max(jitter * 10.0, 1e-12 * sigma_eta2)
             if jitter > MAX_JITTER_FACTOR * sigma_eta2:
@@ -94,17 +100,13 @@ def _factor(K: np.ndarray, noise_var: float, sigma_eta2: float):
 
 
 def _neg_lml(log_params: np.ndarray, X: np.ndarray, y: np.ndarray,
-             fixed_noise: float | None) -> float:
+             noise_var: float) -> float:
     d = X.shape[1]
-    ell = np.exp(log_params[:d])
-    sigma_eta2 = math.exp(log_params[d])
-    noise = fixed_noise if fixed_noise is not None else math.exp(log_params[d + 1])
-    K = matern52_matrix(X, X, sigma_eta2, ell)
     try:
-        chol, _ = _factor(K, noise, sigma_eta2)
+        chol, alpha = _posterior(X, y, np.exp(log_params[:d]),
+                                 math.exp(log_params[d]), noise_var)
     except ConfigError:
         return 1e12
-    alpha = cho_solve(chol, y)
     logdet = 2.0 * float(np.log(np.diag(chol[0])).sum())
     return float(0.5 * y @ alpha + 0.5 * logdet + 0.5 * len(y) * math.log(2 * math.pi))
 
@@ -113,44 +115,30 @@ def gp_fit(dataset: GpDataset, lo, hi, *, seed: int = 0,
            hypers: tuple | None = None) -> GpModel:
     """Fit the GP: normalize inputs, choose hyperparameters, cache the factor.
 
-    hypers, when given as (lengthscales, sigma_eta2, noise_var), skips the
+    hypers, when given as (lengthscales, sigma_eta2), skips the
     marginal-likelihood search (used when refitting between scheduled
     hyperparameter updates).
     """
     lo = np.asarray(lo, float)
     hi = np.asarray(hi, float)
-    X_raw = dataset.thetas
-    if X_raw.shape[0] < 2:
+    if len(dataset.thetas) < 2:
         raise ConfigError("need at least 2 observations to fit")
-    X = (X_raw - lo) / (hi - lo)
-    y = dataset.costs.copy()
-    X, y = _merge_duplicates(X, y)
+    X, y = _merge_duplicates((dataset.thetas - lo) / (hi - lo), dataset.costs)
     d = X.shape[1]
-    var_y = float(np.var(y))
-    if var_y <= 0.0:
-        var_y = 1.0
 
     if hypers is not None:
-        ell, sigma_eta2, noise_var = hypers
-        ell = np.asarray(ell, float)
+        ell, sigma_eta2 = np.asarray(hypers[0], float), hypers[1]
     else:
-        ell_b = (math.log(0.01), math.log(10.0))
-        sig_b = (math.log(1e-4 * var_y), math.log(1e2 * var_y))
-        if dataset.noise_var is not None:
-            bounds = [ell_b] * d + [sig_b]
-        else:
-            noise_b = (math.log(1e-8 * var_y), math.log(1.0 * var_y))
-            bounds = [ell_b] * d + [sig_b] + [noise_b]
+        var_y = float(np.var(y)) or 1.0  # constant data: unit signal scale
+        bounds = [(math.log(0.01), math.log(10.0))] * d \
+            + [(math.log(1e-4 * var_y), math.log(1e2 * var_y))]
         rng = np.random.default_rng(seed)
-        starts = [np.array([math.log(0.3)] * d + [math.log(var_y)]
-                           + ([] if dataset.noise_var is not None
-                              else [math.log(1e-4 * var_y)]))]
+        starts = [np.array([math.log(0.3)] * d + [math.log(var_y)])]
         for _ in range(N_STARTS - 1):
             starts.append(np.array([rng.uniform(b[0], b[1]) for b in bounds]))
         # rank the starts by their raw likelihood and polish only the best
         # half; the rest rarely win and double the fitting cost
-        ranked = sorted(starts,
-                        key=lambda x0: _neg_lml(x0, X, y, dataset.noise_var))
+        ranked = sorted(starts, key=lambda x0: _neg_lml(x0, X, y, dataset.noise_var))
         best = None
         for x0 in ranked[:N_STARTS // 2]:
             res = minimize(_neg_lml, x0, args=(X, y, dataset.noise_var),
@@ -158,18 +146,12 @@ def gp_fit(dataset: GpDataset, lo, hi, *, seed: int = 0,
                            options={"maxiter": 60, "ftol": 1e-10})
             if best is None or res.fun < best.fun:
                 best = res
-        p = best.x
-        ell = np.exp(p[:d])
-        sigma_eta2 = math.exp(p[d])
-        noise_var = dataset.noise_var if dataset.noise_var is not None \
-            else math.exp(p[d + 1])
+        ell = np.exp(best.x[:d])
+        sigma_eta2 = math.exp(best.x[d])
 
-    K = matern52_matrix(X, X, sigma_eta2, ell)
-    chol, jitter = _factor(K, noise_var, sigma_eta2)
-    alpha = cho_solve(chol, y)
-    return GpModel(x_norm=X, y=y, lo=lo, hi=hi, sigma_eta2=float(sigma_eta2),
-                   lengthscales=ell, noise_var=float(noise_var), chol=chol,
-                   alpha=alpha, jitter=jitter)
+    chol, alpha = _posterior(X, y, ell, sigma_eta2, dataset.noise_var)
+    return GpModel(x_norm=X, lo=lo, hi=hi, sigma_eta2=float(sigma_eta2),
+                   lengthscales=ell, chol=chol, alpha=alpha)
 
 
 def gp_predict(model: GpModel, theta) -> tuple[float, float]:

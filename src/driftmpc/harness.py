@@ -54,7 +54,6 @@ class Scenario:
     cost: CostConfig = field(default_factory=CostConfig)
     mode: str = "ppt"
     T: float = 18.4   # episode duration [s]
-    seed: int = 0
 
     def __post_init__(self):
         if self.mode not in FREE_COMPONENTS:
@@ -285,7 +284,6 @@ def run_episode(scenario: Scenario, theta=None,
 class TuneResult:
     theta_star: np.ndarray   # full 3-vector with pinned components filled in
     bo: BoResult
-    mode: str
     history_thetas: np.ndarray  # (N, 3) full vectors in evaluation order
 
     def history_csv(self, path) -> None:
@@ -297,7 +295,7 @@ class TuneResult:
 
 
 def tune(scenario: Scenario, init: int = 20, budget: int = 320,
-         seed: int | None = None, extra_init=None) -> TuneResult:
+         seed: int = 0, extra_init=None) -> TuneResult:
     """Learn the free parameters of the scenario's mode with the BO loop.
 
     The mode fixes which components of (delta_eq, w_r, w_e) are free; the
@@ -311,8 +309,6 @@ def tune(scenario: Scenario, init: int = 20, budget: int = 320,
     free = FREE_COMPONENTS[scenario.mode]
     if not free:
         raise ConfigError(f"mode '{scenario.mode}' learns nothing to tune")
-    if seed is None:
-        seed = scenario.seed
     full_bounds = ThetaBounds()
     sub_bounds = ThetaBounds(lo=full_bounds.lo[free], hi=full_bounds.hi[free])
     pinned = _apt_theta(scenario.apt)
@@ -330,14 +326,11 @@ def tune(scenario: Scenario, init: int = 20, budget: int = 320,
     starts = [pinned[free]]
     if extra_init is not None:
         starts.extend(np.asarray(t, float)[free] for t in extra_init)
-    # episodes are deterministic, so the surrogate gets a tiny fixed nugget;
-    # a learned noise variance would absorb isolated good episodes
-    # surrounded by failure-cost plateau as if they were measurement noise
     result = bo_loop(runner, sub_bounds, m=init, N=budget, seed=seed,
-                     init_thetas=starts, noise_var=1e-6)
+                     init_thetas=starts)
     history = np.array([expand(t) for t in result.thetas])
     return TuneResult(theta_star=expand(result.theta_star), bo=result,
-                      mode=scenario.mode, history_thetas=history)
+                      history_thetas=history)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +390,6 @@ def scenario_from_dict(data: dict) -> Scenario:
             **{name: spec(**data[name]) for name, spec in SECTIONS.items()},
             mode=data["mode"],
             T=data["T"],
-            seed=data.get("seed", 0),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed scenario: {exc}") from exc

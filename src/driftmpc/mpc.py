@@ -13,8 +13,9 @@ from functools import lru_cache
 import numpy as np
 
 from .equilibrium import DriftEquilibrium
-from .errors import ConfigError, FrictionCircleError, InfeasibleQpError
-from .qp import solve_qp
+from .errors import (ConfigError, FrictionCircleError, InfeasibleQpError,
+                     UncertifiedQpError)
+from .qp import KKT_TOL, solve_qp
 from .vehicle import ControlInput, ControlLimits, VehicleParams, dynamics
 
 
@@ -200,13 +201,17 @@ def solve_mpc(xi_now: np.ndarray, dep: DriftEquilibrium, model: AugmentedModel,
                         np.tile(u_prev - lo, n_c)])
 
     res = solve_qp(H, g, A, b)
+    kkt = res.kkt_residuals(H, g, A, b)
+    # no scale is below 1, so only an absolute residual above KKT_TOL can fail
+    if not all(v <= KKT_TOL for v in kkt.values()) and \
+            not (rel := res.relative_residual(H, g, A, b)) <= KKT_TOL:
+        raise UncertifiedQpError(f"QP answer misses its KKT certificate ({rel:.1e})")
     w = res.x
     du1 = w[:2].copy()
     u_next = u_prev + du1
     # snap exactly onto any active first-step bound to keep invariants tight
     u_next = np.minimum(np.maximum(u_next, lo), hi)
     cost = float(0.5 * w @ H @ w + g @ w + const)
-    kkt = res.kkt_residuals(H, g, A, b)
     return MpcSolution(u_next=ControlInput(float(u_next[0]), float(u_next[1])),
                        cost=cost, delta_u=du1, kkt=kkt,
                        qp_iterations=res.iterations, n_active=len(res.active))

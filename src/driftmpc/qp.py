@@ -17,6 +17,7 @@ from .errors import ConfigError, InfeasibleQpError, QpIterationLimitError
 
 FEAS_TOL = 1e-9
 MULT_TOL = 1e-9
+KKT_TOL = 1e-6  # largest relative KKT residual of an answer solve_mpc applies
 MAX_ITER = 500  # active-set iterations before giving up
 
 
@@ -31,12 +32,28 @@ class QpResult:
         """Stationarity, primal feasibility and complementarity residuals."""
         grad = H @ self.x + g + A.T @ self.lam
         slack = A @ self.x - b
+        on = self.lam != 0.0  # rows without a multiplier (+inf too) are complementary
         return {
             "stationarity": float(np.abs(grad).max()) if grad.size else 0.0,
             "feasibility": float(max(slack.max(), 0.0)) if slack.size else 0.0,
-            "complementarity": float(np.abs(self.lam * slack).max()) if slack.size else 0.0,
+            "complementarity": _max_abs(self.lam[on] * slack[on]),
             "dual": float(max(-self.lam.min(), 0.0)) if slack.size else 0.0,
         }
+
+    def relative_residual(self, H, g, A, b) -> float:
+        """The largest KKT residual over its scale (max norms, at least 1):
+        stationarity over |g|, |Hx|, |A'lam|; feasibility over s = |Ax|;
+        complementarity over s |lam|; the dual residual over |lam|."""
+        r = self.kkt_residuals(H, g, A, b)
+        s_feas = max(1.0, _max_abs(A @ self.x))
+        s_lam = max(1.0, _max_abs(self.lam))
+        s_stat = max(1.0, _max_abs(g), _max_abs(H @ self.x), _max_abs(A.T @ self.lam))
+        return max(r["stationarity"] / s_stat, r["feasibility"] / s_feas,
+                   r["complementarity"] / (s_feas * s_lam), r["dual"] / s_lam)
+
+
+def _max_abs(v: np.ndarray) -> float:
+    return float(np.abs(v).max(initial=0.0))
 
 
 # solve_qp validates its data once at entry, so the Cholesky factorization

@@ -174,7 +174,7 @@ class TestCriterion5GpEiOracles:
             thetas = bounds.sample(n, seed=n)
             y = (np.sin(3 * thetas[:, 0]) + 0.3 * thetas[:, 1]
                  + 0.05 * thetas[:, 2] ** 2)
-            hyp = (np.array([0.35, 0.45, 0.3]), 1.2, 1e-4)
+            hyp = (np.array([0.35, 0.45, 0.3]), 1.2)
             model = gp_fit(GpDataset(thetas, y, noise_var=1e-4),
                            bounds.lo, bounds.hi, hypers=hyp)
             tests = bounds.sample(25, seed=n + 1)
@@ -195,7 +195,7 @@ class TestCriterion5GpEiOracles:
         y = np.cos(2 * thetas[:, 0]) + thetas[:, 1] * 0.5
         model = gp_fit(GpDataset(thetas, y, noise_var=1e-6),
                        bounds.lo, bounds.hi,
-                       hypers=(np.array([0.3, 0.3, 0.3]), 1.0, 1e-6))
+                       hypers=(np.array([0.3, 0.3, 0.3]), 1.0))
         z = rng.standard_normal(10_000_000)
         best = float(np.median(y))
         worst_ei = 0.0

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from driftmpc.bo import (CostConfig, ThetaBounds, acquire_next, bo_loop,
+from driftmpc.bo import (CostConfig, ThetaBounds, _ei_batch, acquire_next, bo_loop,
                          episode_cost, expected_improvement)
 from driftmpc.errors import ConfigError
 from driftmpc.gp import (GpDataset, gp_fit, gp_predict, gp_predict_batch,
@@ -76,7 +78,7 @@ class TestGpFit:
             y = np.sin(thetas[:, 0] * 3) + 0.1 * thetas[:, 1] + rng.normal(0, 0.01, n)
             ds = GpDataset(thetas, y, noise_var=1e-4)
             model = gp_fit(ds, BOUNDS.lo, BOUNDS.hi,
-                           hypers=(np.array([0.4, 0.3, 0.5]), 1.5, 1e-4))
+                           hypers=(np.array([0.4, 0.3, 0.5]), 1.5))
             test_pts = BOUNDS.sample(20, seed=99 + n)
             mu, var = gp_predict_batch(model, test_pts)
             Xn = model.normalize(thetas)
@@ -98,7 +100,7 @@ class TestGpFit:
         thetas = BOUNDS.sample(8, seed=1)
         y = np.linspace(0.0, 2.0, 8)
         model = gp_fit(GpDataset(thetas, y, noise_var=1e-12), BOUNDS.lo, BOUNDS.hi,
-                       hypers=(np.array([0.5, 0.5, 0.5]), 1.0, 1e-12))
+                       hypers=(np.array([0.5, 0.5, 0.5]), 1.0))
         mu, var = gp_predict_batch(model, thetas)
         assert np.abs(mu - y).max() < 1e-4
         assert var.max() < 1e-6
@@ -108,7 +110,7 @@ class TestGpFit:
             + np.array([[0.0, 0.0, 0.0], [0.01, 0.01, 0.01], [0.02, 0.0, 0.02]])
         y = np.array([1.0, 1.1, 0.9])
         model = gp_fit(GpDataset(thetas, y, noise_var=1e-6), BOUNDS.lo, BOUNDS.hi,
-                       hypers=(np.array([0.05, 0.05, 0.05]), 2.0, 1e-6))
+                       hypers=(np.array([0.05, 0.05, 0.05]), 2.0))
         mu, var = gp_predict(model, np.array([0.39, 1.95, 4.9]))
         assert abs(mu) < 1e-6
         assert math.isclose(var, 2.0, rel_tol=1e-6)
@@ -117,12 +119,12 @@ class TestGpFit:
         thetas = BOUNDS.sample(6, seed=2)
         y = np.arange(6.0)
         base = gp_fit(GpDataset(thetas, y, noise_var=1e-6), BOUNDS.lo, BOUNDS.hi,
-                      hypers=(np.array([0.4, 0.4, 0.4]), 1.0, 1e-6))
+                      hypers=(np.array([0.4, 0.4, 0.4]), 1.0))
         dup_thetas = np.vstack([thetas, thetas[2]])
         dup_y = np.append(y, y[2])
         dup = gp_fit(GpDataset(dup_thetas, dup_y, noise_var=1e-6),
                      BOUNDS.lo, BOUNDS.hi,
-                     hypers=(np.array([0.4, 0.4, 0.4]), 1.0, 1e-6))
+                     hypers=(np.array([0.4, 0.4, 0.4]), 1.0))
         pts = BOUNDS.sample(10, seed=3)
         mu_a, _ = gp_predict_batch(base, pts)
         mu_b, _ = gp_predict_batch(dup, pts)
@@ -140,6 +142,38 @@ class TestGpFit:
             gp_fit(GpDataset(np.array([[0.0, 1.0, 0.0]]), np.array([1.0])),
                    BOUNDS.lo, BOUNDS.hi)
 
+    @pytest.mark.parametrize("noise", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+    def test_bad_noise_rejected(self, noise):
+        with pytest.raises(ConfigError, match="noise_var"):
+            GpDataset(BOUNDS.sample(4, seed=5), np.arange(4.0), noise_var=noise)
+
+    def test_zero_noise_accepted(self):
+        thetas = BOUNDS.sample(4, seed=5)
+        model = gp_fit(GpDataset(thetas, np.arange(4.0), noise_var=0.0),
+                       BOUNDS.lo, BOUNDS.hi, hypers=(np.array([0.4, 0.4, 0.4]), 1.0))
+        mu, _ = gp_predict_batch(model, thetas)
+        assert np.abs(mu - np.arange(4.0)).max() < 1e-6
+
+
+@st.composite
+def ei_cases(draw):
+    """A GP fitted with fixed hyperparameters, a query point (in the box or
+    on a training point, where a tiny noise clamps the variance to zero)
+    and an incumbent."""
+    n = draw(st.integers(2, 12))
+    thetas = BOUNDS.sample(n, seed=draw(st.integers(0, 1000)))
+    y = np.array(draw(st.lists(st.floats(-5.0, 10.0), min_size=n, max_size=n)))
+    noise = draw(st.sampled_from([1e-14, 1e-8, 1e-6, 1e-4]))
+    ell = np.array(draw(st.lists(st.floats(0.05, 3.0), min_size=3, max_size=3)))
+    model = gp_fit(GpDataset(thetas, y, noise_var=noise), BOUNDS.lo, BOUNDS.hi,
+                   hypers=(ell, draw(st.floats(0.01, 10.0))))
+    if draw(st.booleans()):
+        t = thetas[draw(st.integers(0, n - 1))]
+    else:
+        u = draw(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3))
+        t = BOUNDS.lo + np.array(u) * (BOUNDS.hi - BOUNDS.lo)
+    return model, t, draw(st.floats(-10.0, 10.0))
+
 
 class TestExpectedImprovement:
     @staticmethod
@@ -147,7 +181,7 @@ class TestExpectedImprovement:
         thetas = BOUNDS.sample(12, seed=7)
         y = np.linspace(-1, 1, 12)
         return gp_fit(GpDataset(thetas, y, noise_var=noise), BOUNDS.lo, BOUNDS.hi,
-                      hypers=(np.array([0.3, 0.3, 0.3]), 1.0, noise))
+                      hypers=(np.array([0.3, 0.3, 0.3]), 1.0))
 
     def test_zero_variance_gives_zero(self):
         from driftmpc.gp import gp_predict
@@ -189,13 +223,38 @@ class TestExpectedImprovement:
         lo = expected_improvement(model, far, best_cost=-5.0)
         assert hi > lo
 
+    @settings(max_examples=200, deadline=None)
+    @given(ei_cases())
+    def test_scalar_is_the_batch_formula(self, case):
+        model, t, best = case
+        ei = expected_improvement(model, t, best)
+        assert float.hex(ei) == float.hex(float(_ei_batch(model, t[None], best)[0]))
+        if gp_predict(model, t)[1] == 0.0:
+            assert ei == 0.0
+
+    def test_deep_tail_against_mpmath(self):
+        # 0.5 * (1 + erf(z / sqrt 2)) rounds to 0 below z = -8; ndtr keeps
+        # the tail, so EI stays relatively exact where it is tiny
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        model = self._model_with()
+        far = np.array([0.39, 1.95, 4.95])
+        mu, var = gp_predict(model, far)
+        sigma = mpmath.sqrt(mpmath.mpf(var))
+        for z in np.linspace(-30.0, -6.0, 49):
+            best = mu + z * math.sqrt(var)
+            zz = (mpmath.mpf(best) - mpmath.mpf(mu)) / sigma
+            exact = sigma * (zz * mpmath.ncdf(zz) + mpmath.npdf(zz))
+            ei = expected_improvement(model, far, best)
+            assert abs(ei - exact) <= 1e-9 * exact, z
+
 
 class TestAcquireNext:
     def test_deterministic(self):
         thetas = BOUNDS.sample(10, seed=21)
         y = thetas[:, 0] ** 2 + 0.2 * thetas[:, 1]
         model = gp_fit(GpDataset(thetas, y, noise_var=1e-6), BOUNDS.lo, BOUNDS.hi,
-                       hypers=(np.array([0.4, 0.4, 0.4]), 1.0, 1e-6))
+                       hypers=(np.array([0.4, 0.4, 0.4]), 1.0))
         a = acquire_next(model, BOUNDS, float(y.min()), seed=5)
         b = acquire_next(model, BOUNDS, float(y.min()), seed=5)
         assert np.array_equal(a, b)
@@ -204,19 +263,18 @@ class TestAcquireNext:
         thetas = BOUNDS.sample(10, seed=22)
         y = np.linspace(0, 1, 10)
         model = gp_fit(GpDataset(thetas, y, noise_var=1e-6), BOUNDS.lo, BOUNDS.hi,
-                       hypers=(np.array([0.4, 0.4, 0.4]), 1.0, 1e-6))
+                       hypers=(np.array([0.4, 0.4, 0.4]), 1.0))
         t = acquire_next(model, BOUNDS, 0.0, seed=6)
         assert BOUNDS.contains(t)
 
     def test_matches_dense_grid_maximum(self):
         # one deep minimum, tiny noise: the chosen point must carry (almost)
         # the grid-maximal expected improvement, never a sampled plateau
-        from driftmpc.bo import _ei_batch
         thetas = BOUNDS.sample(15, seed=23)
         y = np.full(15, 2.0)
         y[7] = -1.0  # the deep observation
         model = gp_fit(GpDataset(thetas, y, noise_var=1e-8), BOUNDS.lo, BOUNDS.hi,
-                       hypers=(np.array([0.25, 0.25, 0.25]), 1.5, 1e-8))
+                       hypers=(np.array([0.25, 0.25, 0.25]), 1.5))
         best = float(y.min())
         axes = [np.linspace(lo, hi, 40) for lo, hi in zip(BOUNDS.lo, BOUNDS.hi)]
         grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
@@ -231,7 +289,7 @@ class TestAcquireNext:
         thetas = np.array([[-0.5, 0.5, -2.0], [0.2, 1.5, 2.0]])
         y = np.array([1.0, 1.0])
         model = gp_fit(GpDataset(thetas, y, noise_var=1e-8), BOUNDS.lo, BOUNDS.hi,
-                       hypers=(np.array([0.5, 0.5, 0.5]), 1.0, 1e-8))
+                       hypers=(np.array([0.5, 0.5, 0.5]), 1.0))
         t = acquire_next(model, BOUNDS, 1.0, seed=9)
         assert BOUNDS.contains(t)
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from driftmpc import mpc as mpc_module
 from driftmpc.bo import BoResult, CostConfig, failed_episode_cost
 from driftmpc.errors import ConfigError
 from driftmpc.harness import (E_FAIL, FREE_COMPONENTS, TRACE_COLUMNS, EightSpec,
@@ -14,6 +15,7 @@ from driftmpc.harness import (E_FAIL, FREE_COMPONENTS, TRACE_COLUMNS, EightSpec,
                               scenario_to_dict, scenario_to_file, tune,
                               tune_objective)
 from driftmpc.paths import ClothoidSpec
+from driftmpc.qp import solve_qp
 from driftmpc.tracking import AptParams
 
 CIRCLE = ClothoidSpec(kappa=1 / 40, kappa_prime=0.0, length=500.0)
@@ -28,6 +30,19 @@ def hold_scenario():
 
 
 class TestRunEpisode:
+    def test_uncertified_qp_answer_fails_the_episode(self, monkeypatch):
+        def perturbed(H, g, A, b):
+            res = solve_qp(H, g, A, b)
+            res.x = res.x + 1e-3
+            return res
+
+        monkeypatch.setattr(mpc_module, "solve_qp", perturbed)
+        trace, m = run_episode(case_scenario(case=1, mode="ppt", T=1.0))
+        assert trace.failed and len(trace) == 0
+        assert trace.failure_reason.startswith("controller failure at step 0")
+        assert "KKT certificate" in trace.failure_reason
+        assert m.cost_J == CostConfig().j_fail
+
     def test_nominal_hold_drift_rmse(self, hold_scenario):
         trace, m = run_episode(hold_scenario, (-0.52, 1.0, 0.0))
         assert m.rmse_V < 1e-3
@@ -204,7 +219,7 @@ class TestOutputBytes:
         costs = np.array([1.5, 10.0, -2.0625])
         bo = BoResult(theta_star=thetas[2], best_cost=-2.0625, thetas=thetas,
                       costs=costs, best_so_far=np.array([1.5, 1.5, -2.0625]))
-        TuneResult(theta_star=thetas[2], bo=bo, mode="almpc",
+        TuneResult(theta_star=thetas[2], bo=bo,
                    history_thetas=thetas).history_csv(tmp_path / "h.csv")
         assert (tmp_path / "h.csv").read_text() == (
             "iteration,delta_eq,w_r,w_e,cost,best_so_far\n"
@@ -259,11 +274,18 @@ class TestReport:
 
 class TestScenarioIo:
     def test_round_trip(self, tmp_path):
-        sc = case_scenario(case=2, mode="almpc", T=6.0, seed=11)
+        sc = case_scenario(case=2, mode="almpc", T=6.0)
         f = tmp_path / "scenario.json"
         scenario_to_file(sc, f)
         loaded = scenario_from_file(f)
         assert loaded == sc
+
+    def test_seed_of_an_older_file_is_ignored(self):
+        # the tuning seed comes from tune(seed=...) / --seed only
+        sc = case_scenario(case=1, mode="almpc", T=6.0)
+        data = scenario_to_dict(sc)
+        assert "seed" not in data
+        assert scenario_from_dict({**data, "seed": 11}) == sc
 
     def test_eight_round_trip(self, tmp_path):
         sc = Scenario(path=EightSpec(radius=35.0), mode="ppt", T=5.0)

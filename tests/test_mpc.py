@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from driftmpc import mpc
 from driftmpc.equilibrium import solve_dep
-from driftmpc.errors import ConfigError, DriftMpcError, InfeasibleQpError
+from driftmpc.errors import (ConfigError, DriftMpcError, InfeasibleQpError,
+                             UncertifiedQpError)
 from driftmpc.mpc import (AugmentedModel, MpcConfig, _condense, _constraints,
                           augment, linearize, solve_mpc)
 from driftmpc.qp import solve_qp
@@ -206,6 +207,10 @@ class TestSolveQp:
         assert np.array_equal(two.lam, [one.lam[0], 0.0])
         free = solve_qp(H, g, np.array([[1.0]]), np.array([math.inf]))
         assert math.isclose(free.x[0], 2.0, abs_tol=1e-12) and free.active == []
+        # the absent row's slack is -inf; its zero multiplier leaves the
+        # relative certificate finite
+        assert two.relative_residual(H, g, np.array([[1.0], [1.0]]),
+                                     np.array([1.0, math.inf])) < 1e-15
 
     def test_random_instances_kkt(self, rng):
         for _ in range(30):
@@ -324,6 +329,30 @@ class TestSolveMpc:
         xi = dep.as_array()
         xi[3] = limits.delta_max + 0.5
         with pytest.raises(InfeasibleQpError):
+            solve_mpc(xi, dep, aug, mpc_cfg, limits)
+
+    def test_certificate_is_relative_to_the_qp_scale(self, dep, aug, mpc_cfg, limits):
+        # weights x1e10 keep the minimizer and scale g and the multipliers
+        # by 1e10: the absolute stationarity residual is rounding of that size
+        big = MpcConfig(Q=tuple(1e10 * q for q in mpc_cfg.Q),
+                        R=tuple(1e10 * r for r in mpc_cfg.R))
+        xi = dep.as_array() + np.array([0.8, -0.05, 0.02, 0.1, -300.0])
+        sol = solve_mpc(xi, dep, aug, big, limits)
+        assert sol.kkt["stationarity"] > 1e-6
+        ref = solve_mpc(xi, dep, aug, mpc_cfg, limits)
+        np.testing.assert_allclose(sol.delta_u, ref.delta_u, rtol=1e-9, atol=1e-12)
+
+    def test_uncertified_qp_answer_is_not_applied(self, dep, aug, mpc_cfg, limits,
+                                                  monkeypatch):
+        def perturbed(H, g, A, b):
+            res = solve_qp(H, g, A, b)
+            res.x = res.x + 1e-3
+            return res
+
+        xi = dep.as_array() + np.array([0.8, -0.05, 0.02, 0.1, -300.0])
+        solve_mpc(xi, dep, aug, mpc_cfg, limits)
+        monkeypatch.setattr(mpc, "solve_qp", perturbed)
+        with pytest.raises(UncertifiedQpError, match="KKT certificate"):
             solve_mpc(xi, dep, aug, mpc_cfg, limits)
 
     def test_non_finite_state_rejected(self, dep, aug, mpc_cfg, limits):

@@ -195,6 +195,18 @@ def test_random_instances_match_oracle(instance):
     assert outcome(solve_qp, *instance) == outcome(solve_qp_oracle, *instance)
 
 
+@settings(max_examples=100, deadline=None)
+@given(mpc_shaped_qps(), st.sampled_from([1e-4, 1.0, 1e9]))
+def test_relative_certificate_of_a_scaled_qp(instance, scale):
+    """Scaling the objective scales the multipliers and the absolute
+    stationarity residual with it; the relative certificate stays put.
+    (From about 1e11 up the candidate test, a_i.p against FEAS_TOL
+    max|p| in equilibrated variables, drops rows it should take.)"""
+    H, g, A, b = instance
+    res = solve_qp(scale * H, scale * g, A, b)
+    assert res.relative_residual(scale * H, scale * g, A, b) < KKT_GATE
+
+
 @settings(max_examples=60, deadline=None)
 @given(degenerate_qps(), st.floats(0.0, 0.9))
 def test_feasible_start_matches_oracle(instance, shrink):
