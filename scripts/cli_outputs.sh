@@ -49,7 +49,8 @@ run tune30 -- tune --case 1 --mode almpc --init 20 --budget 30 --seed 0 --out tu
 run report -- report --traces sim_ppt/trace_ppt.csv sim_dep/trace_dep.csv --out report
 
 # qp_digest.txt, one line per recorded QP instance: its iterations, the
-# working set in the order the solver left it, and the exact bits of x
+# working set in the order the solver left it, and the exact bits of x and
+# of the multipliers lam
 python3 -B - "$root/perfbench" > qp_digest.txt <<'PY'
 import sys
 sys.path.insert(0, sys.argv[1])
@@ -64,7 +65,8 @@ for k, (H, g, b) in enumerate(zip(qps["H"], qps["g"], qps["b"])):
     except DriftMpcError as exc:
         print(k, type(exc).__name__)
         continue
-    print(k, r.iterations, r.active, " ".join(float.hex(v) for v in r.x.tolist()))
+    print(k, r.iterations, r.active, " ".join(map(float.hex, r.x.tolist())),
+          "lam", " ".join(map(float.hex, r.lam.tolist())))
 PY
 
 # bo_digest.txt, one line per evaluation of two bo_loop runs: the exact

@@ -99,14 +99,19 @@ def _polish(H, g, A, b, working: list[int], n: int, chol):
 def solve_qp(H: np.ndarray, g: np.ndarray, A: np.ndarray, b: np.ndarray,
              x0: np.ndarray | None = None) -> QpResult:
     """Minimize 0.5 x'Hx + g'x subject to Ax <= b, starting from x0 (zero
-    by default), which must be feasible.  H, g, A and x0 must be finite; b
-    may hold +inf for an absent bound but no NaN.  H must be positive
-    definite."""
-    n = H.shape[0]
-    m = A.shape[0] if A is not None and A.size else 0
-    if m == 0:
-        A = np.zeros((0, n))
-        b = np.zeros(0)
+    by default), which must be feasible.  H must be n x n, g and x0 of
+    length n, A m x n (or None for m = 0) and b of length m.  H, g, A and
+    x0 must be finite; b may hold +inf for an absent bound but no NaN.  H
+    must be positive definite."""
+    n = H.shape[0] if H.ndim else 0
+    if A is None:
+        A, b = np.zeros((0, n)), np.zeros(0)
+    m = A.shape[0] if A.ndim else 0
+    if (H.shape != (n, n) or np.shape(g) != (n,) or A.shape != (m, n)
+            or np.shape(b) != (m,) or (x0 is not None and np.shape(x0) != (n,))):
+        raise ConfigError(
+            f"QP shapes do not fit: H {H.shape}, g {np.shape(g)}, A {A.shape}, "
+            f"b {np.shape(b)}, x0 {None if x0 is None else np.shape(x0)}")
     if not (np.isfinite(H).all() and np.isfinite(g).all()
             and np.isfinite(A).all() and not np.isnan(b).any()
             and (x0 is None or np.isfinite(x0).all())):
@@ -127,27 +132,37 @@ def solve_qp(H: np.ndarray, g: np.ndarray, A: np.ndarray, b: np.ndarray,
 
     chol = _cho_factor(Hs)
     working: list[int] = []
-    hinv_rows: list[np.ndarray] = []  # H^-1 a_i for each working row, in order
+    # row j of aw is the j-th working row of As and row j of hw its H^-1 a_i;
+    # both are allocated when the first row joins (a row cannot join twice
+    # while it is in the set, so m rows suffice)
+    aw = hw = None
+    free = np.ones(m, dtype=bool)  # rows outside the working set
+    grad = slack = None  # at z; None once z has moved
     for it in range(1, MAX_ITER + 1):
-        grad = Hs @ z + gs
-        if working:
-            Aw = As[working]
+        nw = len(working)
+        if grad is None:
+            grad = Hs @ z + gs
             hinv_grad = _cho_solve(chol, grad)
+            step_scale = max(1.0, float(np.abs(z).max(initial=0.0)))
+            slack = None
+        if nw:
+            Aw = aw[:nw]
             # n x n_w in Fortran order: BLAS rounds the products below
             # differently for a C-ordered copy
-            hinv_awt = np.array(hinv_rows).T
+            hinv_awt = hw[:nw].T
             gram = Aw @ hinv_awt
-            rhs = -(Aw @ hinv_grad)
+            # the working multipliers are -nu; LU and gemv are odd in their
+            # right-hand side, so solving for -nu instead would differ at
+            # most in the sign of a zero, which no comparison below sees
+            rhs = Aw @ hinv_grad
             try:
-                lam_w = np.linalg.solve(gram, rhs)
+                nu = np.linalg.solve(gram, rhs)
             except np.linalg.LinAlgError:
-                lam_w = np.linalg.lstsq(gram, rhs, rcond=None)[0]
-            p = -(hinv_grad + hinv_awt @ lam_w)
+                nu = np.linalg.lstsq(gram, rhs, rcond=None)[0]
+            p = hinv_awt @ nu - hinv_grad
         else:
-            lam_w = np.zeros(0)
-            p = -_cho_solve(chol, grad)
+            p = -hinv_grad
 
-        step_scale = max(1.0, float(np.abs(z).max(initial=0.0)))
         p_max = float(np.abs(p).max(initial=0.0))
         stationary = p_max < 1e-9 * step_scale
         if not stationary:
@@ -159,25 +174,35 @@ def solve_qp(H: np.ndarray, g: np.ndarray, A: np.ndarray, b: np.ndarray,
             blocking = -1
             if m:
                 ap = As @ p
-                candidates = ap > FEAS_TOL * max(1.0, p_max)
-                candidates[working] = False
-                idx = np.flatnonzero(candidates)
+                idx = ((ap > FEAS_TOL * max(1.0, p_max)) & free).nonzero()[0]
                 if idx.size:
-                    ratios = (b - As @ z)[idx] / ap[idx]
-                    k = int(np.argmin(ratios))
+                    if slack is None:
+                        slack = b - As @ z
+                    ratios = slack[idx] / ap[idx]
+                    k = int(ratios.argmin())
                     if ratios[k] < alpha:
                         alpha = max(float(ratios[k]), 0.0)
                         blocking = int(idx[k])
-            z = z + alpha * p
+            if alpha > 0.0:  # a zero-length step leaves z, grad and slack
+                z = z + alpha * p
+                grad = None
             if blocking >= 0:
+                if aw is None:
+                    aw, hw = np.empty((m, n)), np.empty((m, n))
+                aw[nw] = As[blocking]
+                hw[nw] = _cho_solve(chol, As[blocking])
                 working.append(blocking)
-                hinv_rows.append(_cho_solve(chol, As[blocking]))
+                free[blocking] = False
                 continue
-            # full step: z is now the subproblem minimizer and lam_w is its
+            # full step: z is now the subproblem minimizer and -nu its
             # multiplier vector, so fall through to the optimality check
-        if working and float(lam_w.min()) < -MULT_TOL * max(1.0, float(np.abs(lam_w).max())):
-            k = int(np.argmin(lam_w))
-            del working[k], hinv_rows[k]
+        if nw and float(nu.max()) > MULT_TOL * max(1.0, float(np.abs(nu).max())):
+            # drop the row with the most negative multiplier; z stays, and
+            # so do grad and H^-1 grad
+            k = int(nu.argmax())
+            aw[k:nw - 1] = aw[k + 1:nw]
+            hw[k:nw - 1] = hw[k + 1:nw]
+            free[working.pop(k)] = True
             continue
         zp, lam_p = _polish(Hs, gs, As, b, working, n, chol)
         lam = np.zeros(m)

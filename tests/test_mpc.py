@@ -190,6 +190,16 @@ class TestSolveQp:
         with pytest.raises(DriftMpcError):
             solve_qp(**data)
 
+    @pytest.mark.parametrize("field, value", [
+        ("H", np.ones((2, 3))), ("g", np.ones(3)), ("A", np.ones((2, 3))),
+        ("b", np.ones(1)),  # broadcast against both rows before the check
+        ("x0", np.zeros(3))], ids=["H", "g", "A", "b", "x0"])
+    def test_misshapen_data_is_a_classified_failure(self, field, value):
+        data = {"H": np.eye(2), "g": np.ones(2), "A": np.eye(2), "b": np.ones(2),
+                field: value}
+        with pytest.raises(ConfigError, match="shapes"):
+            solve_qp(**data)
+
     @pytest.mark.parametrize("H", [np.diag([0.0, 1.0]), np.diag([-1.0, 1.0]),
                                    np.array([[1.0, 2.0], [2.0, 1.0]])])
     def test_indefinite_hessian_is_a_classified_failure(self, H):

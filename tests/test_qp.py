@@ -1,9 +1,14 @@
 """Same-bits and certificate checks for the active-set QP solver.
 
-The oracle below is the solver as it was before it kept H^-1 a_i per
-working row: it re-solves cho_solve(chol, Aw.T) for the whole working set
-on every iteration and runs the ratio test over a full-length mask.
-solve_qp must reproduce it bit for bit.
+The oracle below is the plain statement of the method that solve_qp
+implements: every iteration rebuilds the working rows As[working] from
+the index list, re-solves cho_solve(chol, Aw.T) for the whole working set,
+recomputes the gradient at z, solves the Gram system for the multipliers
+with their sign in the right-hand side, and runs the ratio test over a
+full-length mask.  solve_qp keeps the working rows and their H^-1 a_i in
+buffers shifted in place, a mask of the free rows, and the gradient while
+z stays put; it must reproduce the oracle bit for bit (x, multipliers,
+iteration count and working-set order).
 """
 import functools
 import importlib
@@ -15,9 +20,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftmpc import qp
+from driftmpc import mpc, qp
 from driftmpc.equilibrium import solve_dep
 from driftmpc.errors import DriftMpcError, QpIterationLimitError
+from driftmpc.harness import case_scenario, run_episode
 from driftmpc.mpc import MpcConfig, _constraints, augment, linearize, solve_mpc
 from driftmpc.qp import QpResult, solve_qp
 from driftmpc.vehicle import default_limits, default_vehicle_params
@@ -27,12 +33,13 @@ KKT_GATE = 1e-6        # acceptance criterion 3
 DEGENERATE_INSTANCE = 5  # the recorded QP the absolute candidate test got wrong
 
 
-def solve_qp_oracle(H, g, A, b, x0=None, scaled_candidates=True):
+def solve_qp_oracle(H, g, A, b, x0=None, scaled_candidates=True, events=None):
     """Oracle: solve_qp with the whole working set re-solved per iteration.
 
     scaled_candidates=False gives the absolute candidate test ap > FEAS_TOL,
     which lets a row that depends on the working set up to rounding join
-    it (recorded instance 5 comes back infeasible by 0.15)."""
+    it (recorded instance 5 comes back infeasible by 0.15).  A list passed
+    as events receives ("add", row) and ("drop", row) in solve order."""
     n = H.shape[0]
     m = A.shape[0]
     d = 1.0 / np.sqrt(np.diag(H))
@@ -79,9 +86,14 @@ def solve_qp_oracle(H, g, A, b, x0=None, scaled_candidates=True):
             z = z + alpha * p
             if blocking >= 0:
                 working.append(blocking)
+                if events is not None:
+                    events.append(("add", blocking))
                 continue
         if working and float(lam_w.min()) < -qp.MULT_TOL * max(1.0, float(np.abs(lam_w).max())):
-            working.remove(working[int(np.argmin(lam_w))])
+            row = working[int(np.argmin(lam_w))]
+            working.remove(row)
+            if events is not None:
+                events.append(("drop", row))
             continue
         zp, lam_p = qp._polish(Hs, gs, As, b, working, n, chol)
         lam = np.zeros(m)
@@ -130,6 +142,57 @@ def test_degenerate_recorded_instance_is_certified(recorded):
     assert outcome(solve_qp, H, g, A, b) == outcome(solve_qp_oracle, H, g, A, b)
     absolute = solve_qp_oracle(H, g, A, b, scaled_candidates=False)
     assert certificate(absolute, H, g, A, b) > 0.1
+
+
+def test_tail_episode_qps_match_oracle(monkeypatch):
+    """Every QP of a failing almpc episode (criterion 8's one-thread theta,
+    lateral blow-up at step 38): long solves with many drops, the tail that
+    tuning spends its time in."""
+    captured = []
+
+    def capture(H, g, A, b):
+        captured.append((H, g, A, b))
+        return solve_qp(H, g, A, b)
+
+    monkeypatch.setattr(mpc, "solve_qp", capture)
+    trace, _ = run_episode(case_scenario(1, "almpc"), (-0.700, 0.197, -3.928))
+    iterations, drops = [], 0
+    for k, instance in enumerate(captured):
+        events = []
+        got = outcome(solve_qp, *instance)
+        assert got == outcome(solve_qp_oracle, *instance, events=events), k
+        iterations.append(got[2])
+        drops += sum(kind == "drop" for kind, _ in events)
+    assert trace.failed and len(captured) >= 30
+    assert max(iterations) >= 40 and drops >= 100
+
+
+def test_working_set_fills_to_n_rows():
+    """The step reaches all n upper bounds at once: one row joins on the
+    step, the other n - 1 on zero-length steps, and no row leaves."""
+    n = 6
+    H, g = np.eye(n), np.full(n, -10.0)
+    A, b = np.vstack([np.eye(n), -np.eye(n)]), np.ones(2 * n)
+    res = solve_qp(H, g, A, b)
+    assert sorted(res.active) == list(range(n)) and res.iterations == n + 1
+    assert np.array_equal(res.x, np.ones(n))
+    assert outcome(solve_qp, H, g, A, b) == outcome(solve_qp_oracle, H, g, A, b)
+
+
+def test_row_leaves_and_joins_again():
+    """Rows 1, 4, 0 join; 4 (a middle row) and then 1 (the first) leave;
+    4 joins again."""
+    M = np.array([[1.3, -2.2, -0.7], [1.2, 1.6, 0.3], [0.7, 1.9, 0.0]])
+    H, g = M @ M.T + np.eye(3), np.array([1.6, -4.7, -2.0])
+    A = np.array([[-0.2, 0.7, -0.6], [-1.3, 0.2, -1.9], [-0.5, -0.4, 0.9],
+                  [-1.3, -1.0, 0.4], [0.9, 0.9, -0.1]])
+    b = np.array([0.8, 0.8, 1.3, 0.3, 0.8])
+    events = []
+    expected = outcome(solve_qp_oracle, H, g, A, b, events=events)
+    assert events == [("add", 1), ("add", 4), ("add", 0), ("drop", 4),
+                      ("drop", 1), ("add", 4)]
+    assert outcome(solve_qp, H, g, A, b) == expected
+    assert solve_qp(H, g, A, b).active == [0, 4]
 
 
 @st.composite
