@@ -46,7 +46,9 @@ run sim_case2_ppt -- simulate --case 2 --mode ppt --out sim_case2_ppt
 run sim_case2 1 -- simulate --case 2 --mode almpc --theta=-0.473,0.993,2.90 --out sim_case2
 run tune -- tune --case 1 --mode almpc --init 6 --budget 12 --seed 3 --out tune
 run tune30 -- tune --case 1 --mode almpc --init 20 --budget 30 --seed 0 --out tune30
+run tune_dep -- tune --case 1 --mode dep --init 6 --budget 12 --seed 3 --out tune_dep
 run report -- report --traces sim_ppt/trace_ppt.csv sim_dep/trace_dep.csv --out report
+run report_failed -- report --traces sim_case2/trace_almpc.csv --out report_failed
 
 # qp_digest.txt, one line per recorded QP instance: its iterations, the
 # working set in the order the solver left it, and the exact bits of x and

@@ -57,17 +57,15 @@ class CostConfig:
             raise ConfigError("need lam > 0, e_max > 0, N_k >= 2")
 
 
-def episode_cost(e, dpsi, cfg: CostConfig, failed: bool = False) -> float:
-    """Log-compressed tracking cost with soft barrier and increment terms.
+def episode_cost(e, dpsi, cfg: CostConfig) -> float:
+    """Log-compressed tracking cost of a completed episode, with soft
+    barrier and increment terms.
 
     Works on the absolute lateral error.  The barrier is the log of the
     mean threshold excess, shifted so it is exactly zero when no step
     exceeds e_max (the raw log of an empty excess is undefined; the shift
-    by -log(eps) keeps the term non-negative and monotone).  Failed
-    episodes get the fixed penalty cost.
+    by -log(eps) keeps the term non-negative and monotone).
     """
-    if failed:
-        return cfg.j_fail
     e = np.abs(np.asarray(e, float))
     dpsi = np.abs(np.asarray(dpsi, float))
     if len(e) < 2 or len(e) != len(dpsi):

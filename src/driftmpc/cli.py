@@ -30,7 +30,7 @@ def _cmd_dep(args) -> int:
             max(0.5 * size, R_EQ_MIN), 1.5 * size, 7)
         cells = dep_sweep(deltas, radii, params)
         sweep_to_csv(cells, args.out)
-        n_ok = sum(c.converged for c in cells)
+        n_ok = sum(c.eq is not None for c in cells)
         print(f"swept {len(cells)} cells, {n_ok} converged -> {args.out}")
     else:
         eq = solve_dep(args.delta, args.radius, params)
@@ -153,12 +153,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; a classified package error is reported on
-    stderr as `driftmpc: <ErrorType>: <message>` with exit status 2."""
+    """Run one subcommand; a classified package error or a file that cannot
+    be read or written is reported on stderr as
+    `driftmpc: <ErrorType>: <message>` with exit status 2."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DriftMpcError as exc:
+    except (DriftMpcError, OSError) as exc:
         print(f"driftmpc: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import (ConfigError, DegenerateSpeedError, FrictionCircleError,
                      GripBranchError, NoConvergenceError)
-from .vehicle import ControlInput, VehicleParams, VehicleState, dynamics
+from .vehicle import VehicleParams, VehicleState, dynamics
 
 RESIDUAL_TOL = 1e-8
 MAX_ITER = 100
@@ -35,9 +35,6 @@ class DriftEquilibrium:
 
     def state(self) -> VehicleState:
         return VehicleState(self.V_eq, self.beta_eq, self.r_eq)
-
-    def control(self) -> ControlInput:
-        return ControlInput(self.delta_eq, self.F_xr_eq)
 
     def as_array(self) -> np.ndarray:
         """5-vector (V, beta, r, delta, F_xr)."""
@@ -152,9 +149,7 @@ def solve_dep(delta_eq: float, R_eq: float, params: VehicleParams,
 class SweepCell:
     delta_eq: float
     R_eq: float
-    eq: DriftEquilibrium | None
-    converged: bool
-    message: str
+    eq: DriftEquilibrium | None  # None where the solve failed
 
 
 def dep_sweep(delta_grid, R_grid, params: VehicleParams) -> list[SweepCell]:
@@ -173,13 +168,12 @@ def dep_sweep(delta_grid, R_grid, params: VehicleParams) -> list[SweepCell]:
         for R in R_grid:
             try:
                 eq = solve_dep(float(delta), float(R), params, seed=warm)
-                cells.append(SweepCell(float(delta), float(R), eq, True, "ok"))
+                cells.append(SweepCell(float(delta), float(R), eq))
                 warm = (eq.V_eq, eq.beta_eq, eq.F_xr_eq)
                 if col_first is None:
                     col_first = warm
-            except (NoConvergenceError, GripBranchError, ConfigError) as exc:
-                cells.append(SweepCell(float(delta), float(R), None, False,
-                                       type(exc).__name__))
+            except (NoConvergenceError, GripBranchError, ConfigError):
+                cells.append(SweepCell(float(delta), float(R), None))
         col_seed = col_first
     return cells
 
@@ -187,7 +181,7 @@ def dep_sweep(delta_grid, R_grid, params: VehicleParams) -> list[SweepCell]:
 def sweep_to_csv(cells: list[SweepCell], path) -> None:
     """One row per cell; a cell without an equilibrium reads nan,...,0."""
     rows = [(c.delta_eq, c.R_eq, c.eq.V_eq, c.eq.beta_eq, c.eq.r_eq, c.eq.F_xr_eq, 1)
-            if c.converged and c.eq is not None
+            if c.eq is not None
             else (c.delta_eq, c.R_eq, math.nan, math.nan, math.nan, math.nan, 0)
             for c in cells]
     np.savetxt(path, rows, fmt="%.12g", delimiter=",",

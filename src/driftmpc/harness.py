@@ -89,9 +89,17 @@ class EpisodeTrace:
 
     @staticmethod
     def from_csv(path) -> "EpisodeTrace":
+        """Read a trace written by to_csv; ConfigError if the file is not one."""
         with open(path) as fh:
             lines = fh.read().splitlines()
-        data = np.atleast_1d(np.genfromtxt(lines, delimiter=",", names=True))
+        header = lines[0].split(",") if lines else []
+        missing = [c for c in TRACE_COLUMNS if c not in header]
+        if missing:
+            raise ConfigError(f"{path}: not a trace, no column '{missing[0]}'")
+        try:
+            data = np.atleast_1d(np.genfromtxt(lines, delimiter=",", names=True))
+        except ValueError as exc:  # a row whose length differs from the header's
+            raise ConfigError(f"{path}: {' '.join(str(exc).split())}") from None
         cols = {name: np.asarray(data[name], float) for name in data.dtype.names}
         failed = lines[-1].startswith(FAILED_PREFIX)
         return EpisodeTrace(columns=cols, failed=failed, failure_reason=(
@@ -116,10 +124,11 @@ def _rms(x: np.ndarray) -> float:
 
 
 def metrics_from_trace(trace: EpisodeTrace, cost_cfg: CostConfig) -> MetricsReport:
-    """Tracking and drift-state RMSEs against the per-step planned states."""
+    """Tracking and drift-state RMSEs against the per-step planned states;
+    cost_J is j_fail for a failed trace or one shorter than 2 steps."""
     c = trace.columns
-    J = episode_cost(c["e"], c["d_psi"], cost_cfg, failed=trace.failed) \
-        if len(trace) >= 2 else cost_cfg.j_fail
+    J = cost_cfg.j_fail if trace.failed or len(trace) < 2 \
+        else episode_cost(c["e"], c["d_psi"], cost_cfg)
     return MetricsReport(
         rmse_e=_rms(c["e"]),
         rmse_dpsi=_rms(c["d_psi"]),
@@ -159,6 +168,8 @@ def _theta_for_mode(mode: str, theta, apt: AptParams) -> list[float]:
     t = np.asarray(theta, float).ravel()
     if len(t) != 3:
         raise ConfigError("theta must have 3 components (delta_eq, w_r, w_e)")
+    if not np.all(np.isfinite(t)):
+        raise ConfigError(f"theta must be finite, got {t.tolist()}")
     full[free] = t[free]
     return full.tolist()
 
@@ -221,8 +232,8 @@ def run_episode(scenario: Scenario, theta=None,
             R_eq = apt_radius(errs, apt)
         else:
             stride = max(1, int(round(state.V * mpc_cfg.dT / path.spacing)))
-            R_eq = ppt_radius(pose, path, mpc_cfg.N_p, radius_grid,
-                              beta=state.beta, stride=stride, hint_index=hint)
+            R_eq = ppt_radius(pose, proj, path, mpc_cfg.N_p, radius_grid,
+                              beta=state.beta, stride=stride)
         # mirror the base steering with the turn direction (drift switching)
         base_eff = delta_base if R_eq > 0 else -delta_base
         if use_apt_law:
@@ -337,7 +348,6 @@ def tune(scenario: Scenario, init: int = 20, budget: int = 320,
 # reporting
 
 def report(traces: list[EpisodeTrace], labels: list[str],
-           cost_cfg: CostConfig | None = None,
            out_dir=None) -> tuple[str, list[MetricsReport]]:
     """Comparison table of the RMSE metrics, one row per labelled trace;
     with out_dir, the same rows are also written to out_dir/metrics.csv."""
@@ -345,8 +355,7 @@ def report(traces: list[EpisodeTrace], labels: list[str],
         raise ConfigError("need one label per trace")
     if len({len(t) for t in traces}) > 1:
         raise ConfigError("traces have mismatched lengths")
-    cfg = cost_cfg if cost_cfg is not None else CostConfig()
-    reports = [metrics_from_trace(t, cfg) for t in traces]
+    reports = [metrics_from_trace(t, CostConfig()) for t in traces]
     header = ["label"] + [f.name for f in fields(MetricsReport)]
     rows = [(label, *astuple(rep)) for label, rep in zip(labels, reports)]
     widths = [max(12, len(h) + 2) for h in header]

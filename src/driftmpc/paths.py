@@ -29,16 +29,76 @@ class ClothoidSpec:
         if self.length <= 0:
             raise ConfigError("clothoid length must be positive")
 
+    def _tangent_angle(self, s: np.ndarray) -> np.ndarray:
+        return self.theta0 + self.kappa * s + 0.5 * self.kappa_prime * s * s
+
     def build(self, spacing: float = SPACING) -> "PathTable":
-        return build_clothoid(self, spacing)
+        """Sample the clothoid by integrating cos/sin of its tangent angle.
+
+        Each sample interval is integrated with composite Simpson on four
+        panels, which keeps position error far below the projection
+        refinement scale for sub-meter spacing.
+        """
+        if not 0 < spacing <= self.length:
+            raise ConfigError("spacing must be in (0, length]")
+        n = int(round(self.length / spacing)) + 1
+        s = np.arange(n) * spacing
+        x = np.empty(n)
+        y = np.empty(n)
+        x[0], y[0] = self.x0, self.y0
+        # Simpson weights for 4 panels per interval
+        offsets = np.linspace(0.0, spacing, 5)
+        weights = np.array([1.0, 4.0, 2.0, 4.0, 1.0]) * (spacing / 4.0) / 3.0
+        for i in range(1, n):
+            psi = self._tangent_angle(s[i - 1] + offsets)
+            x[i] = x[i - 1] + float(weights @ np.cos(psi))
+            y[i] = y[i - 1] + float(weights @ np.sin(psi))
+        phi = self._tangent_angle(s)
+        kappa = self.kappa + self.kappa_prime * s
+        return PathTable(s=s, x=x, y=y, phi=phi, kappa=kappa, spacing=spacing)
 
 
 @dataclass(frozen=True)
 class EightSpec:
     radius: float = 40.0  # lobe radius [m]
 
+    def __post_init__(self):
+        if self.radius <= 0:
+            raise ConfigError("radius must be positive")
+
     def build(self, spacing: float = SPACING) -> "PathTable":
-        return build_eight_path(self.radius, spacing)
+        """Figure-eight: two tangent circles of opposite curvature.
+
+        Starts at the crossing point heading +x, runs the left (positive
+        curvature) lobe as a full circle, then the right lobe.  Total length
+        is 4*pi*radius and the curvature column is +-1/radius.
+        """
+        radius = self.radius
+        lobe_len = 2.0 * math.pi * radius
+        if not 0 < spacing <= lobe_len:
+            raise ConfigError("spacing must be in (0, 2*pi*radius]")
+        n_lobe = int(round(lobe_len / spacing))
+        total = 2 * n_lobe + 1
+        s = np.arange(total) * spacing
+        x = np.empty(total)
+        y = np.empty(total)
+        phi = np.empty(total)
+        kappa = np.empty(total)
+        # left lobe: center (0, +R); angle from center starts at -pi/2
+        s1 = s[:n_lobe]
+        ang = -0.5 * math.pi + s1 / radius
+        x[:n_lobe] = radius * np.cos(ang)
+        y[:n_lobe] = radius + radius * np.sin(ang)
+        phi[:n_lobe] = s1 / radius
+        kappa[:n_lobe] = 1.0 / radius
+        # right lobe: center (0, -R); angle starts at +pi/2, clockwise
+        s2 = s[n_lobe:] - lobe_len
+        ang = 0.5 * math.pi - s2 / radius
+        x[n_lobe:] = radius * np.cos(ang)
+        y[n_lobe:] = -radius + radius * np.sin(ang)
+        phi[n_lobe:] = -s2 / radius
+        kappa[n_lobe:] = -1.0 / radius
+        return PathTable(s=s, x=x, y=y, phi=phi, kappa=kappa, spacing=spacing)
 
 
 PATH_KINDS = {"clothoid": ClothoidSpec, "eight": EightSpec}
@@ -69,71 +129,6 @@ class TrackingErrors:
     d_psi: float  # course error = d_phi + beta [rad]
     e_la: float   # look-ahead error [m]
     R_r: float    # local reference radius 1/kappa, sign preserved [m]
-
-
-def _tangent_angle(spec: ClothoidSpec, s: np.ndarray) -> np.ndarray:
-    return spec.theta0 + spec.kappa * s + 0.5 * spec.kappa_prime * s * s
-
-
-def build_clothoid(spec: ClothoidSpec, spacing: float = SPACING) -> PathTable:
-    """Sample a clothoid by integrating cos/sin of its tangent angle.
-
-    Each sample interval is integrated with composite Simpson on four
-    panels, which keeps position error far below the projection refinement
-    scale for sub-meter spacing.
-    """
-    if spacing <= 0 or spacing > spec.length:
-        raise ConfigError("spacing must be in (0, length]")
-    n = int(round(spec.length / spacing)) + 1
-    s = np.arange(n) * spacing
-    x = np.empty(n)
-    y = np.empty(n)
-    x[0], y[0] = spec.x0, spec.y0
-    # Simpson weights for 4 panels per interval
-    offsets = np.linspace(0.0, spacing, 5)
-    weights = np.array([1.0, 4.0, 2.0, 4.0, 1.0]) * (spacing / 4.0) / 3.0
-    for i in range(1, n):
-        ss = s[i - 1] + offsets
-        psi = _tangent_angle(spec, ss)
-        x[i] = x[i - 1] + float(weights @ np.cos(psi))
-        y[i] = y[i - 1] + float(weights @ np.sin(psi))
-    phi = _tangent_angle(spec, s)
-    kappa = spec.kappa + spec.kappa_prime * s
-    return PathTable(s=s, x=x, y=y, phi=phi, kappa=kappa, spacing=spacing)
-
-
-def build_eight_path(radius: float, spacing: float = SPACING) -> PathTable:
-    """Figure-eight: two tangent circles of opposite curvature.
-
-    Starts at the crossing point heading +x, runs the left (positive
-    curvature) lobe as a full circle, then the right lobe.  Total length
-    is 4*pi*radius and the curvature column is +-1/radius.
-    """
-    if radius <= 0:
-        raise ConfigError("radius must be positive")
-    lobe_len = 2.0 * math.pi * radius
-    n_lobe = int(round(lobe_len / spacing))
-    total = 2 * n_lobe + 1
-    s = np.arange(total) * spacing
-    x = np.empty(total)
-    y = np.empty(total)
-    phi = np.empty(total)
-    kappa = np.empty(total)
-    # left lobe: center (0, +R); angle from center starts at -pi/2
-    s1 = s[:n_lobe]
-    ang = -0.5 * math.pi + s1 / radius
-    x[:n_lobe] = radius * np.cos(ang)
-    y[:n_lobe] = radius + radius * np.sin(ang)
-    phi[:n_lobe] = s1 / radius
-    kappa[:n_lobe] = 1.0 / radius
-    # right lobe: center (0, -R); angle starts at +pi/2, clockwise
-    s2 = s[n_lobe:] - lobe_len
-    ang = 0.5 * math.pi - s2 / radius
-    x[n_lobe:] = radius * np.cos(ang)
-    y[n_lobe:] = -radius + radius * np.sin(ang)
-    phi[n_lobe:] = -s2 / radius
-    kappa[n_lobe:] = -1.0 / radius
-    return PathTable(s=s, x=x, y=y, phi=phi, kappa=kappa, spacing=spacing)
 
 
 @dataclass(frozen=True)

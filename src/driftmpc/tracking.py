@@ -14,7 +14,7 @@ import numpy as np
 
 from .equilibrium import R_EQ_MAX, R_EQ_MIN
 from .errors import ConfigError
-from .paths import PathTable, TrackingErrors, project
+from .paths import PathTable, Projection, TrackingErrors
 from .vehicle import Pose
 
 
@@ -63,19 +63,18 @@ def default_radius_grid(n: int = 40) -> np.ndarray:
     return np.concatenate([mags, -mags])
 
 
-def ppt_radius(pose: Pose, path: PathTable, horizon_pts: int,
-               radius_grid, beta: float = 0.0, stride: int = 1,
-               hint_index: int | None = None) -> float:
+def ppt_radius(pose: Pose, proj: Projection, path: PathTable, horizon_pts: int,
+               radius_grid, beta: float = 0.0, stride: int = 1) -> float:
     """Predictive baseline: best circle through the vehicle fitting the path.
 
     Each candidate circle is tangent to the vehicle's course at its current
     position.  The candidate minimizing the summed squared radial offsets
-    to the next horizon_pts path samples (taken every `stride` samples, so
-    the window can match the prediction horizon's travel) wins.
+    to the horizon_pts path samples after the foot point proj (taken every
+    `stride` samples, so the window can match the prediction horizon's
+    travel) wins.
     """
     if horizon_pts < 3:
         raise ConfigError("need at least 3 fit points")
-    proj = project(pose, path, hint_index=hint_index)
     course = pose.phi + beta
     sin_c, cos_c = math.sin(course), math.cos(course)
     idx = proj.index + stride * np.arange(1, horizon_pts + 1)

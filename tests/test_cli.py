@@ -134,6 +134,31 @@ def test_classified_errors_reported_without_traceback(tmp_path, capsys):
     assert err.startswith("driftmpc: ConfigError: traces have mismatched lengths")
 
 
+@pytest.mark.parametrize("spacing", ["0", "-1", "1000", "nan"])
+def test_path_spacing_outside_the_lobe_rejected(tmp_path, capsys, spacing):
+    out = tmp_path / "eight.csv"
+    assert main(["path", "--kind", "eight", f"--spacing={spacing}",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("driftmpc: ConfigError: spacing")
+    assert not out.exists()
+
+
+def test_non_finite_theta_rejected(tmp_path, capsys):
+    assert main(["simulate", "--case", "1", "--mode", "almpc", "--theta=nan,1,0",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("driftmpc: ConfigError: theta")
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--scenario", "missing.json"],
+                                  ["report", "--traces", "missing.csv"]])
+def test_missing_input_file_reported_without_traceback(tmp_path, capsys, argv):
+    missing = str(tmp_path / argv[-1])
+    assert main([*argv[:-1], missing, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("driftmpc: FileNotFoundError: ")
+    assert missing in err
+
+
 def test_mode_choices_follow_the_mode_table():
     subcommands = next(a for a in build_parser()._actions if a.dest == "command")
 

@@ -10,6 +10,7 @@ from driftmpc.bo import (CostConfig, ThetaBounds, _ei_batch, acquire_next, bo_lo
 from driftmpc.errors import ConfigError
 from driftmpc.gp import (GpDataset, gp_fit, gp_predict, gp_predict_batch,
                          matern52_matrix)
+from driftmpc.harness import TRACE_COLUMNS, EpisodeTrace, metrics_from_trace
 
 BOUNDS = ThetaBounds()  # stock learning box
 
@@ -342,7 +343,10 @@ class TestEpisodeCost:
         assert J_drift > J_flat
 
     def test_failed_episode_penalty(self):
-        assert episode_cost([0.0, 0.0], [0.0, 0.0], self.CFG, failed=True) == 10.0
+        failed = EpisodeTrace({c: np.zeros(2) for c in TRACE_COLUMNS}, failed=True)
+        assert metrics_from_trace(failed, self.CFG).cost_J == 10.0
+        one_step = EpisodeTrace({c: np.zeros(1) for c in TRACE_COLUMNS})
+        assert metrics_from_trace(one_step, self.CFG).cost_J == 10.0
 
     def test_sign_invariance(self):
         n = 50

@@ -73,6 +73,15 @@ class TestRunEpisode:
         with pytest.raises(ConfigError):
             run_episode(sc, None)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_theta_rejected(self, bad):
+        sc = case_scenario(case=1, mode="almpc")
+        for k in range(3):
+            theta = [-0.49, 0.99, 3.0]
+            theta[k] = bad
+            with pytest.raises(ConfigError, match="finite"):
+                run_episode(sc, theta)
+
     def test_ppt_trace_independent_of_weights(self):
         sc = case_scenario(case=1, mode="ppt", T=3.0)
         t1, _ = run_episode(sc, (-0.52, 1.0, 0.0))
@@ -181,6 +190,22 @@ class TestTraceCsv:
         for fld in dataclasses.fields(metrics):
             a, b = getattr(metrics, fld.name), getattr(again, fld.name)
             assert abs(a - b) <= 1e-9 * max(1.0, abs(a)), fld.name
+
+
+    def test_file_without_trace_columns_rejected(self, tmp_path):
+        f = tmp_path / "path.csv"
+        ClothoidSpec(length=2.0).build().to_csv(f)
+        with pytest.raises(ConfigError, match=r"path\.csv: .*no column 't'"):
+            EpisodeTrace.from_csv(f)
+
+    def test_ragged_row_rejected(self, tmp_path):
+        f = tmp_path / "trace.csv"
+        _hand_trace([np.arange(len(TRACE_COLUMNS))] * 3).to_csv(f)
+        lines = f.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 2)[0]
+        f.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match=r"trace\.csv: .*Line #3 "):
+            EpisodeTrace.from_csv(f)
 
 
 def _hand_trace(rows, failed=False, reason=""):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from driftmpc.errors import ConfigError, OffPathError
-from driftmpc.paths import (ClothoidSpec, PathTable, build_clothoid,
-                            build_eight_path, errors_from_projection, project)
+from driftmpc.paths import (ClothoidSpec, EightSpec, PathTable, errors_from_projection,
+                            project)
 from driftmpc.vehicle import Pose
 
 STOCK = ClothoidSpec(x0=0.0, y0=0.0, theta0=0.0, kappa=1 / 40,
@@ -16,14 +16,14 @@ class TestBuildClothoid:
     def test_zero_curvature_is_straight(self):
         spec = ClothoidSpec(x0=1.0, y0=2.0, theta0=0.5, kappa=0.0,
                             kappa_prime=0.0, length=50.0)
-        t = build_clothoid(spec, 0.5)
+        t = spec.build(0.5)
         np.testing.assert_allclose(t.x, 1.0 + t.s * math.cos(0.5), atol=1e-12)
         np.testing.assert_allclose(t.y, 2.0 + t.s * math.sin(0.5), atol=1e-12)
 
     def test_constant_curvature_circle(self):
         R = 40.0
         spec = ClothoidSpec(kappa=1 / R, kappa_prime=0.0, length=2 * math.pi * R)
-        t = build_clothoid(spec, 0.25)
+        t = spec.build(0.25)
         # every sample must sit on the analytic circle
         x_true = R * np.sin(t.s / R)
         y_true = R * (1.0 - np.cos(t.s / R))
@@ -38,19 +38,19 @@ class TestBuildClothoid:
 
     def test_fine_quadrature_oracle_at_100m(self):
         # frozen from a 10^6-panel trapezoid integration of the stock spiral
-        t = build_clothoid(STOCK, 0.25)
+        t = STOCK.build(0.25)
         i = int(round(100.0 / 0.25))
         assert math.isclose(t.x[i], 13.151682830333, abs_tol=1e-6)
         assert math.isclose(t.y[i], 66.836778125111, abs_tol=1e-6)
         assert math.isclose(t.phi[i], 2.916666666667, abs_tol=1e-9)
 
     def test_curvature_column_exactly_affine(self):
-        t = build_clothoid(STOCK, 0.25)
+        t = STOCK.build(0.25)
         expected = STOCK.kappa + STOCK.kappa_prime * t.s
         assert np.array_equal(t.kappa, expected)
 
     def test_chords_bounded_by_spacing(self):
-        t = build_clothoid(STOCK, 0.25)
+        t = STOCK.build(0.25)
         chords = np.hypot(np.diff(t.x), np.diff(t.y))
         assert np.all(chords <= 0.25 + 1e-9)
 
@@ -58,13 +58,13 @@ class TestBuildClothoid:
         spec = ClothoidSpec(kappa=1 / 40, kappa_prime=1 / 12000, length=100.0)
         gaps = []
         for spacing in (0.5, 0.25, 0.125):
-            t = build_clothoid(spec, spacing)
+            t = spec.build(spacing)
             gaps.append(spec.length - np.hypot(np.diff(t.x), np.diff(t.y)).sum())
         assert gaps[0] > gaps[1] > gaps[2] >= 0.0
 
     def test_invalid_spacing(self):
         with pytest.raises(ConfigError):
-            build_clothoid(STOCK, 0.0)
+            STOCK.build(0.0)
 
 
 def test_path_csv_bytes(tmp_path):
@@ -78,40 +78,51 @@ def test_path_csv_bytes(tmp_path):
 
 class TestBuildEight:
     def test_total_length(self):
-        t = build_eight_path(40.0, 0.25)
+        t = EightSpec(40.0).build(0.25)
         assert abs(t.s[-1] - 4 * math.pi * 40.0) <= 0.25
 
     def test_curvature_values_and_single_flip(self):
-        t = build_eight_path(40.0, 0.25)
+        t = EightSpec(40.0).build(0.25)
         assert set(np.unique(t.kappa)) == {1 / 40, -1 / 40}
         flips = np.sum(np.diff(np.sign(t.kappa)) != 0)
         assert flips == 1
 
     def test_closure(self):
-        t = build_eight_path(40.0, 0.25)
+        t = EightSpec(40.0).build(0.25)
         assert math.hypot(t.x[-1] - t.x[0], t.y[-1] - t.y[0]) <= 0.25 + 1e-9
 
     def test_invalid_radius(self):
         with pytest.raises(ConfigError):
-            build_eight_path(-1.0)
+            EightSpec(-1.0).build()
+
+    @pytest.mark.parametrize("spacing", [0.0, -1.0, 2 * math.pi * 40.0 + 1e-9,
+                                         1000.0, math.nan])
+    def test_spacing_outside_one_lobe_rejected(self, spacing):
+        with pytest.raises(ConfigError):
+            EightSpec(40.0).build(spacing)
+
+    def test_spacing_of_one_lobe_closes_both(self):
+        t = EightSpec(40.0).build(2 * math.pi * 40.0)
+        assert len(t) == 3
+        np.testing.assert_allclose(t.x, 0.0, atol=1e-12)
+        np.testing.assert_allclose(t.y, 0.0, atol=1e-12)
 
 
 class TestProject:
     def test_on_sample_zero_error(self):
-        t = build_clothoid(STOCK, 0.25)
+        t = STOCK.build(0.25)
         proj = project(Pose(float(t.x[100]), float(t.y[100]), 0.0), t)
         assert abs(proj.e) < 1e-9
 
     def test_left_offset_positive_sign(self):
-        straight = build_clothoid(
-            ClothoidSpec(kappa=0.0, kappa_prime=0.0, length=50.0), 0.25)
+        straight = ClothoidSpec(kappa=0.0, kappa_prime=0.0, length=50.0).build(0.25)
         proj = project(Pose(20.0, 1.0, 0.0), straight)  # 1 m left of +x path
         assert math.isclose(proj.e, 1.0, abs_tol=1e-9)
         proj = project(Pose(20.0, -1.0, 0.0), straight)
         assert math.isclose(proj.e, -1.0, abs_tol=1e-9)
 
     def test_matches_exhaustive_search(self, rng):
-        t = build_clothoid(STOCK, 0.25)
+        t = STOCK.build(0.25)
         for _ in range(50):
             i = rng.integers(5, len(t) - 5)
             px = t.x[i] + rng.uniform(-2, 2)
@@ -121,7 +132,7 @@ class TestProject:
             assert proj.index == int(np.argmin(d2))
 
     def test_sign_increases_along_left_normal(self):
-        t = build_clothoid(STOCK, 0.25)
+        t = STOCK.build(0.25)
         i = 200
         nx = -math.sin(t.phi[i])
         ny = math.cos(t.phi[i])
@@ -132,7 +143,7 @@ class TestProject:
         assert all(b > a for a, b in zip(es, es[1:]))
 
     def test_idempotent_foot_point(self):
-        t = build_clothoid(STOCK, 0.25)
+        t = STOCK.build(0.25)
         proj = project(Pose(float(t.x[123] + 0.6), float(t.y[123]), 0.0), t)
         # reconstruct the foot point from the signed error and re-project
         pose = Pose(float(t.x[123] + 0.6), float(t.y[123]), 0.0)
@@ -142,12 +153,12 @@ class TestProject:
         assert abs(again.e) < 1e-6
 
     def test_off_path_raises(self):
-        t = build_clothoid(STOCK, 0.25)
+        t = STOCK.build(0.25)
         with pytest.raises(OffPathError):
             project(Pose(500.0, -500.0, 0.0), t)
 
     def test_hint_window_restricts_search(self):
-        t = build_eight_path(40.0, 0.25)
+        t = EightSpec(40.0).build(0.25)
         n_lobe = int(round(2 * math.pi * 40.0 / 0.25))
         # at the crossing both lobes coincide; the hint picks the late one
         pose = Pose(0.05, 0.0, 0.0)
@@ -155,7 +166,7 @@ class TestProject:
         assert project(pose, t, hint_index=n_lobe - 5).index >= n_lobe - 10
 
     def test_radius_sign_preserved(self):
-        t = build_eight_path(40.0, 0.25)
+        t = EightSpec(40.0).build(0.25)
         n_lobe = int(round(2 * math.pi * 40.0 / 0.25))
         left = project(Pose(40.0, 40.0, 0.0), t, hint_index=n_lobe // 4)
         right = project(Pose(40.0, -40.0, 0.0), t, hint_index=n_lobe + n_lobe // 4)
@@ -164,7 +175,7 @@ class TestProject:
 
 class TestTrackingErrors:
     def test_on_path_aligned_all_zero(self):
-        t = build_clothoid(STOCK, 0.25)
+        t = STOCK.build(0.25)
         pose = Pose(float(t.x[80]), float(t.y[80]), float(t.phi[80]))
         errs = errors_from_projection(project(pose, t), pose, 0.0, 12.0)
         assert abs(errs.e) < 1e-9
@@ -173,7 +184,7 @@ class TestTrackingErrors:
         assert abs(errs.e_la) < 1e-7
 
     def test_course_error_projection(self):
-        t = build_clothoid(STOCK, 0.25)
+        t = STOCK.build(0.25)
         i = 80
         pose = Pose(float(t.x[i]), float(t.y[i]),
                     float(t.phi[i]) + math.pi / 6)
@@ -184,21 +195,20 @@ class TestTrackingErrors:
         assert math.isclose(errs.e_la, 6.0, abs_tol=1e-6)
 
     def test_pure_offset(self):
-        straight = build_clothoid(
-            ClothoidSpec(kappa=0.0, kappa_prime=0.0, length=50.0), 0.25)
+        straight = ClothoidSpec(kappa=0.0, kappa_prime=0.0, length=50.0).build(0.25)
         pose = Pose(25.0, -1.0, 0.0)
         errs = errors_from_projection(project(pose, straight), pose, 0.0, 12.0)
         assert math.isclose(errs.e_la, -1.0, abs_tol=1e-9)
 
     def test_sideslip_enters_course_error(self):
-        t = build_clothoid(STOCK, 0.25)
+        t = STOCK.build(0.25)
         i = 80
         pose = Pose(float(t.x[i]), float(t.y[i]), float(t.phi[i]))
         errs = errors_from_projection(project(pose, t), pose, -0.4, 12.0)
         assert math.isclose(errs.d_psi, errs.d_phi - 0.4, abs_tol=1e-12)
 
     def test_heading_rotation_increases_dphi(self):
-        t = build_clothoid(STOCK, 0.25)
+        t = STOCK.build(0.25)
         i = 80
         base = float(t.phi[i])
         poses = [Pose(float(t.x[i]), float(t.y[i]), base + d) for d in (-0.3, 0.0, 0.3)]

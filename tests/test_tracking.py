@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftmpc.errors import ConfigError
-from driftmpc.paths import (ClothoidSpec, EightSpec, TrackingErrors, build_clothoid,
-                            project)
+from driftmpc.paths import ClothoidSpec, EightSpec, TrackingErrors, project
 from driftmpc.tracking import (AptParams, apt_radius, default_radius_grid,
                                ppt_radius, steer_feedback)
 from driftmpc.vehicle import Pose
@@ -85,31 +84,31 @@ class TestSteerFeedback:
 class TestPptRadius:
     def test_true_radius_recovered_on_circle(self):
         R = 40.0
-        circle = build_clothoid(
-            ClothoidSpec(kappa=1 / R, kappa_prime=0.0, length=200.0), 0.25)
+        circle = ClothoidSpec(kappa=1 / R, kappa_prime=0.0, length=200.0).build(0.25)
         grid = np.array([10.0, 20.0, 40.0, 80.0, -10.0, -40.0])
         i = 100
         pose = Pose(float(circle.x[i]), float(circle.y[i]), float(circle.phi[i]))
-        assert ppt_radius(pose, circle, 20, grid, beta=0.0, stride=8) == 40.0
+        assert ppt_radius(pose, project(pose, circle), circle, 20, grid,
+                          beta=0.0, stride=8) == 40.0
 
     def test_straight_path_prefers_flattest(self):
-        straight = build_clothoid(
-            ClothoidSpec(kappa=0.0, kappa_prime=0.0, length=100.0), 0.25)
+        straight = ClothoidSpec(kappa=0.0, kappa_prime=0.0, length=100.0).build(0.25)
         grid = default_radius_grid()
         pose = Pose(5.0, 0.0, 0.0)
-        R = ppt_radius(pose, straight, 20, grid, beta=0.0, stride=4)
+        R = ppt_radius(pose, project(pose, straight), straight, 20, grid, beta=0.0, stride=4)
         assert abs(R) == 500.0
 
     def test_matches_fine_grid_oracle(self):
-        path = build_clothoid(
-            ClothoidSpec(kappa=1 / 40, kappa_prime=1 / 12000, length=300.0), 0.25)
+        path = ClothoidSpec(kappa=1 / 40, kappa_prime=1 / 12000,
+                            length=300.0).build(0.25)
         coarse = default_radius_grid(40)
         fine = default_radius_grid(400)
         i = 400
         pose = Pose(float(path.x[i]) + 0.3, float(path.y[i]),
                     float(path.phi[i]) + 0.05)
-        R_coarse = ppt_radius(pose, path, 20, coarse, beta=-0.1, stride=8)
-        R_fine = ppt_radius(pose, path, 20, fine, beta=-0.1, stride=8)
+        proj = project(pose, path)
+        R_coarse = ppt_radius(pose, proj, path, 20, coarse, beta=-0.1, stride=8)
+        R_fine = ppt_radius(pose, proj, path, 20, fine, beta=-0.1, stride=8)
         # coarse answer within one coarse-grid step of the refined one
         mags = np.geomspace(5, 500, 40)
         step_ratio = mags[1] / mags[0]
@@ -117,21 +116,22 @@ class TestPptRadius:
         assert 1.0 / step_ratio <= abs(R_coarse / R_fine) <= step_ratio
 
     def test_grid_order_invariance(self, rng):
-        path = build_clothoid(
-            ClothoidSpec(kappa=1 / 40, kappa_prime=1 / 12000, length=300.0), 0.25)
+        path = ClothoidSpec(kappa=1 / 40, kappa_prime=1 / 12000,
+                            length=300.0).build(0.25)
         grid = default_radius_grid(40)
         shuffled = grid.copy()
         rng.shuffle(shuffled)
         pose = Pose(float(path.x[300]) + 0.2, float(path.y[300]), float(path.phi[300]))
-        a = ppt_radius(pose, path, 20, grid, beta=0.0, stride=8)
-        b = ppt_radius(pose, path, 20, shuffled, beta=0.0, stride=8)
+        proj = project(pose, path)
+        a = ppt_radius(pose, proj, path, 20, grid, beta=0.0, stride=8)
+        b = ppt_radius(pose, proj, path, 20, shuffled, beta=0.0, stride=8)
         assert a == b
 
     def test_requires_enough_points(self):
-        path = build_clothoid(
-            ClothoidSpec(kappa=1 / 40, kappa_prime=0.0, length=100.0), 0.25)
+        path = ClothoidSpec(kappa=1 / 40, kappa_prime=0.0, length=100.0).build(0.25)
         with pytest.raises(ConfigError):
-            ppt_radius(Pose(0.0, 0.0, 0.0), path, 2, [40.0])
+            pose = Pose(0.0, 0.0, 0.0)
+            ppt_radius(pose, project(pose, path), path, 2, [40.0])
 
 
 def ppt_radius_loop(pose, path, horizon_pts, radius_grid, beta=0.0, stride=1,
@@ -180,7 +180,11 @@ def ppt_cases(draw):
 @settings(max_examples=200, deadline=None)
 @given(ppt_cases())
 def test_ppt_radius_matches_scalar_loop(case):
-    assert ppt_radius(**case) == ppt_radius_loop(**case)
+    # the oracle projects once more, windowed at the foot point: a second
+    # projection must not move the answer
+    case = dict(case)
+    proj = project(case["pose"], case["path"], case.pop("hint_index"))
+    assert ppt_radius(proj=proj, **case) == ppt_radius_loop(**case, hint_index=proj.index)
 
 
 def test_apt_params_validation():
