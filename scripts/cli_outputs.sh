@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Run a fixed set of driftmpc CLI commands and keep every file and every
 # stdout they produce under OUTDIR, plus a digest of the QP solver on the
-# instances recorded in perfbench/data and one of two Bayesian-optimization
-# runs.  Run it on two trees and `diff -r` the two output directories to
+# instances recorded in perfbench/data, one of the equilibrium,
+# linearization and condensing kernels over a grid of operating points and
+# one of two Bayesian-optimization runs.  Run it on two trees and `diff -r` the two output directories to
 # check that a change leaves the outputs alone.
 #
 #     scripts/cli_outputs.sh OUTDIR
@@ -69,6 +70,47 @@ for k, (H, g, b) in enumerate(zip(qps["H"], qps["g"], qps["b"])):
         continue
     print(k, r.iterations, r.active, " ".join(map(float.hex, r.x.tolist())),
           "lam", " ".join(map(float.hex, r.lam.tolist())))
+PY
+
+# kernel_digest.txt, one line per cell of a (delta, R) grid that holds
+# drift, grip and non-converging cells, plus one equilibrium moved onto the
+# rear friction cap so that linearize differences that column one-sided:
+# the exact bits of the solve_dep result and, at it, of linearize's A, B, d
+# and _condense's S, c; or the class of the exception the solve raised
+python3 -B - > kernel_digest.txt <<'PY'
+import dataclasses
+
+import numpy as np
+from driftmpc.equilibrium import solve_dep
+from driftmpc.errors import DriftMpcError
+from driftmpc.mpc import MpcConfig, _condense, augment, linearize
+from driftmpc.vehicle import default_vehicle_params
+
+params = default_vehicle_params()
+cfg = MpcConfig()
+offset = np.array([0.5, -0.02, 0.01, -0.05, 200.0])
+
+
+def hexes(*arrays):
+    return " | ".join(" ".join(map(float.hex, np.ravel(a).tolist())) for a in arrays)
+
+
+def line(name, eq):
+    lin = linearize(eq, params, cfg.dT)
+    xi_eq = eq.as_array()
+    S, c = _condense(augment(lin), xi_eq + offset, xi_eq, cfg)
+    print(name, hexes(xi_eq, lin.A, lin.B, lin.d, S, c))
+
+
+for delta in (-0.9, -0.52, -0.1, 0.2):
+    for R in (-60.0, 5.0, 12.0, 40.0, 150.0):
+        try:
+            eq = solve_dep(delta, R, params)
+        except DriftMpcError as exc:
+            print(delta, R, type(exc).__name__)
+            continue
+        line(f"{delta} {R}", eq)
+line("cap", dataclasses.replace(solve_dep(-0.52, 40.0, params), F_xr_eq=params.F_r_max))
 PY
 
 # bo_digest.txt, one line per evaluation of two bo_loop runs: the exact

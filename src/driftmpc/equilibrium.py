@@ -12,9 +12,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import LinAlgError
 
 from .errors import (ConfigError, DegenerateSpeedError, FrictionCircleError,
                      GripBranchError, NoConvergenceError)
+from .qp import _lu_solve
 from .vehicle import VehicleParams, VehicleState, dynamics
 
 RESIDUAL_TOL = 1e-8
@@ -55,13 +57,20 @@ def _residual(V: float, beta: float, F_xr: float, delta_eq: float, R_eq: float,
         return None
 
 
+def _norm(res) -> float:
+    """np.linalg.norm of the residual: the square root of its ddot."""
+    a = np.array(res)
+    return math.sqrt(a.dot(a))
+
+
 def _newton(seed, delta_eq: float, R_eq: float,
             params: VehicleParams) -> np.ndarray | None:
     """Damped Newton with forward-difference Jacobian; None if it fails.
 
     The iterate and the residuals are Python floats, which round exactly as
-    NumPy's element-wise operations do; only the 3x3 step solve and the
-    residual norm go through NumPy."""
+    NumPy's element-wise operations do; only the 3x3 step solve (the LU
+    gufunc np.linalg.solve runs) and the residual norm (its ddot) go
+    through NumPy."""
     f_cap = params.F_r_max * (1.0 - 1e-12)
     V, beta, F_xr = map(float, seed)
     z = [max(V, 0.5), beta, min(max(F_xr, -f_cap), f_cap)]
@@ -69,7 +78,7 @@ def _newton(seed, delta_eq: float, R_eq: float,
     if res is None:
         return None
     for _ in range(MAX_ITER):
-        norm0 = float(np.linalg.norm(res))
+        norm0 = _norm(res)
         if norm0 < RESIDUAL_TOL:
             return np.array(z)
         cols = []
@@ -87,8 +96,8 @@ def _newton(seed, delta_eq: float, R_eq: float,
             else:
                 cols.append([(rp - r) / h for r, rp in zip(res, res_p)])
         try:
-            dz = np.linalg.solve(np.array(cols).T, [-r for r in res]).tolist()
-        except np.linalg.LinAlgError:
+            dz = _lu_solve(np.array(cols).T, np.array([-r for r in res])).tolist()
+        except LinAlgError:
             return None
         # backtracking line search with domain projection
         lam = 1.0
@@ -97,7 +106,7 @@ def _newton(seed, delta_eq: float, R_eq: float,
             zt[0] = max(zt[0], 0.5)
             zt[2] = min(max(zt[2], -f_cap), f_cap)
             res_t = _residual(*zt, delta_eq, R_eq, params)
-            if res_t is not None and float(np.linalg.norm(res_t)) < norm0:
+            if res_t is not None and _norm(res_t) < norm0:
                 z, res = zt, res_t
                 break
             lam *= 0.5

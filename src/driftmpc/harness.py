@@ -412,7 +412,11 @@ def scenario_to_file(sc: Scenario, path) -> None:
 
 def scenario_from_file(path) -> Scenario:
     with open(path) as fh:
-        return scenario_from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # not JSON, or not text at all
+            raise ConfigError(f"scenario file {path} is not JSON: {exc}") from exc
+    return scenario_from_dict(data)
 
 
 def case_scenario(case: int = 1, mode: str = "ppt", **overrides) -> Scenario:

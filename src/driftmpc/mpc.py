@@ -62,9 +62,11 @@ def linearize(dep: DriftEquilibrium, params: VehicleParams,
     the discretization is first-order hold, A = I + A_c dT, B = B_c dT.  The
     offset d makes the equilibrium an exact fixed point.
     """
-    z_eq = dep.as_array()
-    jac = np.empty((3, 5))
-    # dynamics takes Python floats: the same IEEE results as NumPy scalars, faster
+    z = dep.as_array()
+    z_eq = z.tolist()
+    # Python floats through dynamics and the differences: each element takes
+    # the IEEE operations an array expression would, without its overhead
+    cols = []
     for j in range(5):
         h = 1e-5 * (1.0 + abs(z_eq[j]))
         zp = z_eq.copy()
@@ -72,13 +74,13 @@ def linearize(dep: DriftEquilibrium, params: VehicleParams,
         zm = z_eq.copy()
         zm[j] -= h
         try:
-            jac[:, j] = np.subtract(dynamics(*zp.tolist(), params),
-                                    dynamics(*zm.tolist(), params)) / (2.0 * h)
+            fp, fm, h2 = dynamics(*zp, params), dynamics(*zm, params), 2.0 * h
         except FrictionCircleError:
             # equilibrium force sits at the circle cap; difference one-sided
-            jac[:, j] = np.subtract(dynamics(*z_eq.tolist(), params),
-                                    dynamics(*zm.tolist(), params)) / h
-    x_eq, u_eq = z_eq[:3], z_eq[3:]
+            fp, fm, h2 = dynamics(*z_eq, params), dynamics(*zm, params), h
+        cols.append([(p - m) / h2 for p, m in zip(fp, fm)])
+    jac = np.array(cols).T.copy()  # C order: BLAS rounds the products below by layout
+    x_eq, u_eq = z[:3], z[3:]
     A = np.eye(3) + jac[:, :3] * dT
     B = jac[:, 3:] * dT
     d = x_eq - A @ x_eq - B @ u_eq
@@ -90,10 +92,10 @@ def augment(model: LinearModel) -> AugmentedModel:
     A_hat = np.zeros((5, 5))
     A_hat[:3, :3] = model.A
     A_hat[:3, 3:] = model.B
-    A_hat[3:, 3:] = np.eye(2)
+    A_hat[3, 3] = A_hat[4, 4] = 1.0
     B_hat = np.zeros((5, 2))
     B_hat[:3] = model.B
-    B_hat[3:] = np.eye(2)
+    B_hat[3, 0] = B_hat[4, 1] = 1.0
     D_hat = np.zeros(5)
     D_hat[:3] = model.d
     return AugmentedModel(A_hat=A_hat, B_hat=B_hat, D_hat=D_hat)
@@ -111,9 +113,14 @@ class MpcSolution:
 
 @lru_cache(maxsize=64)
 def _lag_index(n_p: int, n_c: int) -> np.ndarray:
-    """Block (k, j) of S takes stacked block max(k + 1 - j, 0)."""
-    lag = np.arange(1, n_p + 1)[:, None] - np.arange(n_c)[None, :]
-    return np.maximum(lag, 0)
+    """Flat index into the stacked (n_p + 1, 5, 2) blocks that gathers S:
+    block (k, j) of S is stacked block max(k + 1 - j, 0), so
+    S[5k + i, 2j + l] = blocks[max(k + 1 - j, 0), i, l].  Read-only."""
+    lag = np.maximum(np.arange(1, n_p + 1)[:, None] - np.arange(n_c)[None, :], 0)
+    idx = (10 * lag[:, None, :, None] + 2 * np.arange(5)[:, None, None]
+           + np.arange(2)).reshape(5 * n_p, 2 * n_c)
+    idx.flags.writeable = False
+    return idx
 
 
 def _condense(model: AugmentedModel, xi_now: np.ndarray, xi_eq: np.ndarray,
@@ -121,20 +128,26 @@ def _condense(model: AugmentedModel, xi_now: np.ndarray, xi_eq: np.ndarray,
     """Stack the horizon: deviation_k = S w + c_k with w the increments;
     S is block Toeplitz, block (k, j) = A_hat^(k-j) B_hat for j <= k."""
     n_p, n_c = cfg.N_p, cfg.N_c
+    A_hat, D_hat = model.A_hat, model.D_hat
+    # each product writes into its slot: the gemm/gemv calls of
+    # A_hat @ powers[k - 1] and A_hat @ acc[k - 2] + D_hat, without temporaries
     powers = np.empty((n_p + 1, 5, 5))
     powers[0] = np.eye(5)
     acc = np.empty((n_p, 5))
     prev = np.zeros(5)
     for k in range(1, n_p + 1):
-        powers[k] = model.A_hat @ powers[k - 1]
-        prev = acc[k - 1] = model.A_hat @ prev + model.D_hat
-    c = (powers[1:] @ xi_now + acc - xi_eq).ravel()
+        np.matmul(A_hat, powers[k - 1], out=powers[k])
+        prev = np.matmul(A_hat, prev, out=acc[k - 1])
+        prev += D_hat
+    c = powers[1:] @ xi_now
+    c += acc
+    c -= xi_eq
     # blocks[i] = A_hat^(i-1) B_hat, with the zero block at i = 0
     blocks = np.empty((n_p + 1, 5, 2))
     blocks[0] = 0.0
-    blocks[1:] = powers[:n_p] @ model.B_hat
-    S = blocks[_lag_index(n_p, n_c)].transpose(0, 2, 1, 3).reshape(5 * n_p, 2 * n_c)
-    return S, c
+    np.matmul(powers[:n_p], model.B_hat, out=blocks[1:])
+    S = blocks.ravel().take(_lag_index(n_p, n_c))
+    return S, c.ravel()
 
 
 @dataclass(frozen=True)
@@ -178,12 +191,12 @@ def solve_mpc(xi_now: np.ndarray, dep: DriftEquilibrium, model: AugmentedModel,
     input set or the increment QP has no feasible start.
     """
     xi_now = np.asarray(xi_now, dtype=float)
-    if not np.all(np.isfinite(xi_now)):
+    if not np.isfinite(xi_now).all():
         raise ConfigError("xi_now must be finite")
     u_prev = xi_now[3:]
     con = _constraints(cfg, limits)
     lo, hi = con.lo, con.hi
-    if np.any(u_prev < lo - 1e-9) or np.any(u_prev > hi + 1e-9):
+    if (u_prev < lo - 1e-9).any() or (u_prev > hi + 1e-9).any():
         raise InfeasibleQpError("previous input outside the input set")
 
     xi_eq = dep.as_array()
@@ -195,10 +208,14 @@ def solve_mpc(xi_now: np.ndarray, dep: DriftEquilibrium, model: AugmentedModel,
     g = 2.0 * (SQ.T @ c)
     const = float(c @ (q_diag * c))
 
-    n_c = cfg.N_c
     A = con.A
-    b = np.concatenate([con.b_rate, np.tile(hi - u_prev, n_c),
-                        np.tile(u_prev - lo, n_c)])
+    n_rate = con.b_rate.size
+    b = np.empty(A.shape[0])
+    b[:n_rate] = con.b_rate
+    # the upper and lower input-bound rows, one (delta, F) pair per step
+    bounds = b[n_rate:].reshape(2, cfg.N_c, 2)
+    bounds[0] = hi - u_prev
+    bounds[1] = u_prev - lo
 
     res = solve_qp(H, g, A, b)
     kkt = res.kkt_residuals(H, g, A, b)

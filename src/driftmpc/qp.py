@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import ConfigError, InfeasibleQpError, QpIterationLimitError
@@ -72,6 +73,20 @@ def _cho_solve(c: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return dpotrs(c, rhs, lower=0)[0]
 
 
+def _raise_singular(err, flag):
+    raise LinAlgError("Singular matrix")
+
+
+# the LU solve np.linalg.solve runs for a 1-D right-hand side (LAPACK dgesv
+# in NumPy's solve1 gufunc), under the error state np.linalg.solve sets, so
+# a singular matrix raises LinAlgError and no RuntimeWarning escapes; only
+# its Python-level argument checks are skipped.  a and b are float64.
+@np.errstate(call=_raise_singular, invalid="call", over="ignore",
+             divide="ignore", under="ignore")
+def _lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return _umath_linalg.solve1(a, b, signature="dd->d")
+
+
 def _polish(H, g, A, b, working: list[int], n: int, chol):
     """Solve the equality-constrained KKT system at the final working set,
     with one iterative-refinement pass for tight residuals.  chol is the
@@ -88,10 +103,10 @@ def _polish(H, g, A, b, working: list[int], n: int, chol):
     kkt[n:, :n] = Aw
     rhs = np.concatenate([-g, b[working]])
     try:
-        sol = np.linalg.solve(kkt, rhs)
+        sol = _lu_solve(kkt, rhs)
         resid = rhs - kkt @ sol
-        sol += np.linalg.solve(kkt, resid)
-    except np.linalg.LinAlgError:
+        sol += _lu_solve(kkt, resid)
+    except LinAlgError:
         sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
     return sol[:n], sol[n:]
 
@@ -156,8 +171,8 @@ def solve_qp(H: np.ndarray, g: np.ndarray, A: np.ndarray, b: np.ndarray,
             # most in the sign of a zero, which no comparison below sees
             rhs = Aw @ hinv_grad
             try:
-                nu = np.linalg.solve(gram, rhs)
-            except np.linalg.LinAlgError:
+                nu = _lu_solve(gram, rhs)
+            except LinAlgError:
                 nu = np.linalg.lstsq(gram, rhs, rcond=None)[0]
             p = hinv_awt @ nu - hinv_grad
         else:

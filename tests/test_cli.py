@@ -159,6 +159,18 @@ def test_missing_input_file_reported_without_traceback(tmp_path, capsys, argv):
     assert missing in err
 
 
+@pytest.mark.parametrize("content", [b'{"path": ', b"\x80\xff\x00 scenario"],
+                         ids=["truncated-json", "binary"])
+def test_scenario_file_that_is_not_json_reported_without_traceback(tmp_path, capsys,
+                                                                   content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert main(["simulate", "--scenario", str(bad), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("driftmpc: ConfigError: ")
+    assert str(bad) in err and "Traceback" not in err
+
+
 def test_mode_choices_follow_the_mode_table():
     subcommands = next(a for a in build_parser()._actions if a.dest == "command")
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -250,3 +251,51 @@ class TestDepSweep:
     def test_empty_grid_rejected(self, params):
         with pytest.raises(ConfigError):
             dep_sweep([], [40.0], params)
+
+
+def test_newton_norm_is_numpy_norm():
+    """_norm is np.linalg.norm's sqrt of the ddot, to the bit; a Python sum
+    of squares rounds differently on about one normal triple in ten here."""
+    rng = np.random.default_rng(3)
+    triples = rng.normal(size=(20000, 3)) * 10.0 ** rng.uniform(-12, 8, size=(20000, 3))
+    triples[:10] = [[0.0, -0.0, 0.0], [1e-300, 1e-300, 0.0], [1e200, 1e200, 1e200],
+                    [3.0, 4.0, 0.0], [-1.0, 2.0, -2.0], [1e-8, 0.0, 0.0],
+                    [math.inf, 0.0, 1.0], [5605.6, -0.63, 18.9], [1.0, 1.0, 1.0],
+                    [-0.0, -0.0, -0.0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # 1e200 squared overflows in both
+        for t in triples.tolist():
+            res = tuple(t)
+            assert float.hex(equilibrium._norm(res)) == float.hex(float(np.linalg.norm(res)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False, width=64)] * 3))
+def test_newton_norm_is_numpy_norm_on_any_triple(res):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # squares of huge floats overflow in both
+        assert float.hex(equilibrium._norm(res)) == float.hex(float(np.linalg.norm(res)))
+
+
+def test_newton_singular_jacobian_returns_none_quietly(params, monkeypatch):
+    """A residual that ignores F_xr gives a Jacobian with a zero column: the
+    step solve raises LinAlgError inside _newton, which returns None, and
+    no RuntimeWarning escapes the LU gufunc."""
+    monkeypatch.setattr(equilibrium, "_residual",
+                        lambda V, beta, F_xr, delta_eq, R_eq, params:
+                        (V - 12.0, beta + 0.4, V * beta))
+    raised = []
+    lu_solve = equilibrium._lu_solve
+
+    def spy(a, b):
+        try:
+            return lu_solve(a, b)
+        except np.linalg.LinAlgError:
+            raised.append(a.copy())
+            raise
+
+    monkeypatch.setattr(equilibrium, "_lu_solve", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert equilibrium._newton((10.0, -0.5, 1000.0), -0.5, 40.0, params) is None
+    assert len(raised) == 1 and not raised[0][:, 2].any()

@@ -324,6 +324,14 @@ class TestScenarioIo:
         with pytest.raises(ConfigError):
             scenario_from_file(f)
 
+    @pytest.mark.parametrize("content", [b'{"path": ', b"\x80\xff\x00 scenario"],
+                             ids=["truncated-json", "binary"])
+    def test_file_that_is_not_json_rejected(self, tmp_path, content):
+        f = tmp_path / "bad.json"
+        f.write_bytes(content)
+        with pytest.raises(ConfigError, match="bad.json"):
+            scenario_from_file(f)
+
     @pytest.mark.parametrize("mutate", [
         lambda d: d["limits"].update(d_F_max=1.0),
         lambda d: d["path"].update(kind="spiral"),

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from driftmpc import mpc
 from driftmpc.equilibrium import solve_dep
-from driftmpc.errors import (ConfigError, DriftMpcError, InfeasibleQpError,
-                             UncertifiedQpError)
+from driftmpc.errors import (ConfigError, DriftMpcError, FrictionCircleError,
+                             InfeasibleQpError, UncertifiedQpError)
 from driftmpc.mpc import (AugmentedModel, MpcConfig, _condense, _constraints,
                           augment, linearize, solve_mpc)
 from driftmpc.qp import solve_qp
-from driftmpc.vehicle import ControlLimits, dynamics
+from driftmpc.vehicle import ControlLimits, default_vehicle_params, dynamics
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +105,72 @@ def forward_fd_jacobians(dep, params):
         up[j] += h
         B[:, j] = (f(x_eq, up) - f0) / h
     return A, B
+
+
+# Exact-bit oracles: the array forms linearize, augment, _condense and
+# solve_mpc's b had before they called the kernels without NumPy's per-call
+# wrappers.  Every comparison is on the bytes (dtype, shape, memory order
+# and every bit, the sign of zero included).
+
+def linearize_oracle(dep, params, dT):
+    z_eq = dep.as_array()
+    jac = np.empty((3, 5))
+    for j in range(5):
+        h = 1e-5 * (1.0 + abs(z_eq[j]))
+        zp = z_eq.copy()
+        zp[j] += h
+        zm = z_eq.copy()
+        zm[j] -= h
+        try:
+            jac[:, j] = np.subtract(dynamics(*zp.tolist(), params),
+                                    dynamics(*zm.tolist(), params)) / (2.0 * h)
+        except FrictionCircleError:
+            jac[:, j] = np.subtract(dynamics(*z_eq.tolist(), params),
+                                    dynamics(*zm.tolist(), params)) / h
+    x_eq, u_eq = z_eq[:3], z_eq[3:]
+    A = np.eye(3) + jac[:, :3] * dT
+    B = jac[:, 3:] * dT
+    d = x_eq - A @ x_eq - B @ u_eq
+    return mpc.LinearModel(A=A, B=B, d=d)
+
+
+def augment_oracle(model):
+    A_hat = np.zeros((5, 5))
+    A_hat[:3, :3] = model.A
+    A_hat[:3, 3:] = model.B
+    A_hat[3:, 3:] = np.eye(2)
+    B_hat = np.zeros((5, 2))
+    B_hat[:3] = model.B
+    B_hat[3:] = np.eye(2)
+    D_hat = np.zeros(5)
+    D_hat[:3] = model.d
+    return AugmentedModel(A_hat=A_hat, B_hat=B_hat, D_hat=D_hat)
+
+
+def condense_oracle(model, xi_now, xi_eq, cfg):
+    n_p, n_c = cfg.N_p, cfg.N_c
+    powers = np.empty((n_p + 1, 5, 5))
+    powers[0] = np.eye(5)
+    acc = np.empty((n_p, 5))
+    prev = np.zeros(5)
+    for k in range(1, n_p + 1):
+        powers[k] = model.A_hat @ powers[k - 1]
+        prev = acc[k - 1] = model.A_hat @ prev + model.D_hat
+    c = (powers[1:] @ xi_now + acc - xi_eq).ravel()
+    blocks = np.empty((n_p + 1, 5, 2))
+    blocks[0] = 0.0
+    blocks[1:] = powers[:n_p] @ model.B_hat
+    lag = np.maximum(np.arange(1, n_p + 1)[:, None] - np.arange(n_c)[None, :], 0)
+    S = blocks[lag].transpose(0, 2, 1, 3).reshape(5 * n_p, 2 * n_c)
+    return S, c
+
+
+def bits(*arrays):
+    return [(a.dtype, a.shape, a.flags.c_contiguous, a.tobytes()) for a in arrays]
+
+
+def model_bits(m):
+    return bits(*vars(m).values())
 
 
 class TestLinearize:
@@ -410,6 +476,7 @@ def test_condense_matches_per_block_oracle(horizon, seed):
     S, c = _condense(model, xi_now, xi_eq, cfg)
     S_ref, c_ref = condense_per_block(model, xi_now, xi_eq, cfg)
     assert np.array_equal(S, S_ref) and np.array_equal(c, c_ref)
+    assert bits(S, c) == bits(*condense_oracle(model, xi_now, xi_eq, cfg))
 
 
 @pytest.mark.parametrize("n_p, n_c", [(20, 19), (20, 20), (20, 1), (1, 1)])
@@ -419,6 +486,7 @@ def test_condense_per_block_on_drift_model(aug, dep, n_p, n_c):
     S, c = _condense(aug, xi, dep.as_array(), cfg)
     S_ref, c_ref = condense_per_block(aug, xi, dep.as_array(), cfg)
     assert np.array_equal(S, S_ref) and np.array_equal(c, c_ref)
+    assert bits(S, c) == bits(*condense_oracle(aug, xi, dep.as_array(), cfg))
 
 
 class TestConstraintCache:
@@ -490,3 +558,74 @@ class TestMpcConfig:
             MpcConfig(Q=(1, 1, 1, 1, 0))
         with pytest.raises(ConfigError):
             MpcConfig(dT=0.0)
+
+
+@pytest.fixture(scope="module")
+def capped_dep(dep, params):
+    """The fixture equilibrium with its rear force on the friction cap: the
+    forward difference in F_xr leaves the circle, so linearize takes its
+    one-sided branch for that column."""
+    capped = replace(dep, F_xr_eq=params.F_r_max)
+    zp = capped.as_array()
+    zp[4] += 1e-5 * (1.0 + abs(zp[4]))
+    with pytest.raises(FrictionCircleError):
+        dynamics(*zp.tolist(), params)
+    return capped
+
+
+class TestSameBits:
+    def test_linearize_at_the_fixture(self, dep, params, mpc_cfg):
+        got = linearize(dep, params, mpc_cfg.dT)
+        assert model_bits(got) == model_bits(linearize_oracle(dep, params, mpc_cfg.dT))
+
+    def test_linearize_at_the_friction_cap(self, capped_dep, params, mpc_cfg,
+                                           monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return dynamics(*args)
+
+        monkeypatch.setattr(mpc, "dynamics", counted)  # the name linearize calls
+        got = linearize(capped_dep, params, mpc_cfg.dT)
+        assert len(calls) == 11  # 2 per column, plus the one that left the circle
+        assert model_bits(got) == model_bits(
+            linearize_oracle(capped_dep, params, mpc_cfg.dT))
+
+    @pytest.mark.parametrize("delta, R, mu", [(-0.52, 40.0, 0.8), (-0.3, 25.0, 0.8),
+                                              (0.52, -40.0, 0.8), (-0.6, 60.0, 0.6),
+                                              (-0.45, 12.0, 1.0)])
+    def test_linearize_and_augment_over_equilibria(self, delta, R, mu, mpc_cfg):
+        params = replace(default_vehicle_params(), mu=mu)
+        eq = solve_dep(delta, R, params)
+        got = linearize(eq, params, mpc_cfg.dT)
+        want = linearize_oracle(eq, params, mpc_cfg.dT)
+        assert model_bits(got) == model_bits(want)
+        assert model_bits(augment(got)) == model_bits(augment_oracle(want))
+
+    def test_solve_mpc_b(self, dep, aug, limits, monkeypatch):
+        seen = []
+
+        def capture(H, g, A, b, *args):
+            seen.append(b)
+            return solve_qp(H, g, A, b, *args)
+
+        monkeypatch.setattr(mpc, "solve_qp", capture)
+        rng = np.random.default_rng(7)
+        lo = np.array([limits.delta_min, limits.F_min])
+        hi = np.array([limits.delta_max, limits.F_max])
+        u_prevs = [lo, hi, np.array([-0.0, 0.0]), np.array([0.0, -0.0])]
+        u_prevs += list(rng.uniform(lo, hi, size=(4, 2)))
+        for n_p, n_c in [(20, 19), (20, 20), (5, 1), (1, 1)]:
+            cfg = MpcConfig(N_p=n_p, N_c=n_c)
+            for u_prev in u_prevs:
+                xi = np.concatenate([dep.as_array()[:3], u_prev])
+                solve_mpc(xi, dep, aug, cfg, limits)
+                _, b_ref = constraints_per_step(cfg, limits, xi[3:])
+                assert bits(seen[-1]) == bits(b_ref), (n_p, n_c, u_prev)
+
+
+def test_lag_index_is_cached_read_only(mpc_cfg):
+    idx = mpc._lag_index(mpc_cfg.N_p, mpc_cfg.N_c)
+    assert idx is mpc._lag_index(mpc_cfg.N_p, mpc_cfg.N_c)
+    assert not idx.flags.writeable

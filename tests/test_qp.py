@@ -13,6 +13,7 @@ iteration count and working-set order).
 import functools
 import importlib
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -307,3 +308,112 @@ def test_mpc_certificate_with_previous_input_on_a_bound(eq, dx, scale, u_frac):
     sol = solve_mpc(xi, dep, model, cfg, limits)
     assert max(sol.kkt["stationarity"], sol.kkt["feasibility"],
                sol.kkt["complementarity"]) < KKT_GATE
+
+
+# _lu_solve calls the LU gufunc np.linalg.solve wraps, under the error
+# state np.linalg.solve sets; it must return the same bytes on every kind
+# of matrix the solver hands it, and a NumPy that changes the private
+# gufunc shows here first.
+
+def lu_operands(seed: int, kind: str, fortran: bool):
+    """A matrix and right-hand side like the ones the control step solves:
+    Newton's 3x3 Jacobians (columns of very different scale), the QP's
+    Gram matrices (SPD, up to 38x38) and its polishing KKT matrices
+    (symmetric indefinite)."""
+    rng = np.random.default_rng(seed)
+    if kind == "newton":
+        a = rng.normal(size=(3, 3)) * 10.0 ** rng.uniform(-4, 4, size=3)
+    elif kind == "gram":
+        n, nw = 38, int(rng.integers(1, 39))
+        M = rng.normal(size=(n, n))
+        chol = qp._cho_factor(M @ M.T + n * np.eye(n))
+        aw = rng.normal(size=(nw, n))
+        a = aw @ qp._cho_solve(chol, aw.T)
+    else:
+        n = int(rng.integers(1, 39))
+        nw = int(rng.integers(1, n + 1))
+        M = rng.normal(size=(n, n))
+        aw = rng.normal(size=(nw, n))
+        a = np.zeros((n + nw, n + nw))
+        a[:n, :n] = M @ M.T + np.eye(n)
+        a[:n, n:] = aw.T
+        a[n:, :n] = aw
+    b = rng.normal(size=a.shape[0]) * 10.0 ** rng.uniform(-3, 3)
+    return (np.asfortranarray(a) if fortran else a), b
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["newton", "gram", "kkt"]),
+       st.booleans())
+def test_lu_solve_matches_numpy_solve(seed, kind, fortran):
+    a, b = lu_operands(seed, kind, fortran)
+    got, want = qp._lu_solve(a, b), np.linalg.solve(a, b)
+    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+@pytest.mark.parametrize("a", [np.zeros((3, 3)), np.array([[1.0, 2.0], [2.0, 4.0]]),
+                               np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0],
+                                         [0.0, 0.0, 2.0]])],
+                         ids=["zero", "rank-one", "duplicated-row"])
+def test_lu_solve_singular_raises_without_warning(a):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError):
+            qp._lu_solve(a, np.ones(a.shape[0]))
+
+
+def polish_oracle(H, g, A, b, working, n, chol):
+    """_polish on np.linalg.solve."""
+    nw = len(working)
+    if nw == 0:
+        x = -qp._cho_solve(chol, g)
+        x -= qp._cho_solve(chol, H @ x + g)
+        return x, np.zeros(0)
+    Aw = A[working]
+    kkt = np.zeros((n + nw, n + nw))
+    kkt[:n, :n] = H
+    kkt[:n, n:] = Aw.T
+    kkt[n:, :n] = Aw
+    rhs = np.concatenate([-g, b[working]])
+    try:
+        sol = np.linalg.solve(kkt, rhs)
+        resid = rhs - kkt @ sol
+        sol += np.linalg.solve(kkt, resid)
+    except np.linalg.LinAlgError:
+        sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+    return sol[:n], sol[n:]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_polish_matches_array_oracle(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 39))
+    m = 2 * n
+    M = rng.normal(size=(n, n))
+    H = M @ M.T + np.eye(n)
+    g, A, b = rng.normal(size=n), rng.normal(size=(m, n)), rng.normal(size=m)
+    working = rng.permutation(m)[:int(rng.integers(0, n + 1))].tolist()
+    chol = qp._cho_factor(H)
+    got = qp._polish(H, g, A, b, working, n, chol)
+    want = polish_oracle(H, g, A, b, working, n, chol)
+    assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+
+
+def test_polish_with_a_duplicated_working_row_takes_lstsq(monkeypatch):
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    H, g = 2.0 * np.eye(3), np.array([-4.0, -2.0, 0.0])
+    A = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    b = np.array([1.0, 1.0, 5.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, lam = qp._polish(H, g, A, b, [0, 1], 3, qp._cho_factor(H))
+    assert calls == [(5, 5)]
+    assert np.allclose(x, [1.0, 1.0, 0.0]) and np.allclose(lam, [1.0, 1.0])
