@@ -44,6 +44,7 @@ run sweep_mu09 -- dep --delta -0.52 --radius 40 --mu 0.9 --sweep --out sweep_mu0
 run sim_ppt -- simulate --case 1 --mode ppt --out sim_ppt
 run sim_dep -- simulate --case 1 --mode dep --theta=-0.49,0.99,3.6 --out sim_dep
 run sim_case2_ppt -- simulate --case 2 --mode ppt --out sim_case2_ppt
+run sim_case2_dep -- simulate --case 2 --mode dep --theta=-0.49,0.99,3.6 --out sim_case2_dep
 run sim_case2 1 -- simulate --case 2 --mode almpc --theta=-0.473,0.993,2.90 --out sim_case2
 run tune -- tune --case 1 --mode almpc --init 6 --budget 12 --seed 3 --out tune
 run tune30 -- tune --case 1 --mode almpc --init 20 --budget 30 --seed 0 --out tune30

@@ -181,8 +181,9 @@ def run_episode(scenario: Scenario, theta=None,
     Per step: project the pose and form the tracking errors, pick the drift
     radius (adaptive law or predictive baseline, by mode), adjust the
     steering equilibrium, re-solve the drift equilibrium on the nominal
-    model, relinearize, solve the constrained MPC, and apply the input to
-    the plant.  Failures are classified and truncate the trace.
+    model, relinearize when the equilibrium moved, solve the constrained
+    MPC, and apply the input to the plant.  Failures are classified and
+    truncate the trace.
     """
     if path is None:
         path = scenario.build_path()
@@ -207,6 +208,10 @@ def run_episode(scenario: Scenario, theta=None,
                 wrap_angle(float(path.phi[0]) - eq0.beta_eq))
     u_prev = np.array([eq0.delta_eq, eq0.F_xr_eq])
     eq = eq0
+    # the controller model depends on the equilibrium alone: relinearize
+    # only when the equilibrium moves, and hand solve_mpc the same model
+    # object meanwhile, which also keeps its condensed horizon
+    model = model_eq = None
 
     rows = []
     failed = False
@@ -257,7 +262,9 @@ def run_episode(scenario: Scenario, theta=None,
                 break
 
         try:
-            model = augment(linearize(eq, model_params, mpc_cfg.dT))
+            if eq != model_eq:
+                model = augment(linearize(eq, model_params, mpc_cfg.dT))
+                model_eq = eq
             xi_now = np.array([state.V, state.beta, state.r, u_prev[0], u_prev[1]])
             sol = solve_mpc(xi_now, eq, model, mpc_cfg, limits)
         except DriftMpcError as exc:

@@ -7,8 +7,11 @@ the active-set solver.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,12 +30,20 @@ class LinearModel:
     d: np.ndarray  # 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AugmentedModel:
-    """Increment form over xi = (x, u_prev): xi+ = A_hat xi + B_hat du + D_hat."""
+    """Increment form over xi = (x, u_prev): xi+ = A_hat xi + B_hat du + D_hat.
+
+    Compared and hashed by identity: solve_mpc caches the condensed horizon
+    of the last model it was given, keyed on the model object, so a model
+    must not change once built.  Its arrays are marked read-only here."""
     A_hat: np.ndarray  # 5x5
     B_hat: np.ndarray  # 5x2
     D_hat: np.ndarray  # 5
+
+    def __post_init__(self):
+        for arr in vars(self).values():
+            arr.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -44,14 +55,21 @@ class MpcConfig:
     dT: float = 0.1  # control period [s]
 
     def __post_init__(self):
+        for name in ("N_p", "N_c"):
+            n = getattr(self, name)
+            if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {n!r}")
         object.__setattr__(self, "Q", tuple(self.Q))
         object.__setattr__(self, "R", tuple(self.R))
+        if len(self.Q) != 5 or len(self.R) != 2:
+            raise ConfigError(f"need 5 state-input weights Q and 2 increment "
+                              f"weights R, got {len(self.Q)} and {len(self.R)}")
         if self.N_c > self.N_p or self.N_c < 1:
             raise ConfigError("need 1 <= N_c <= N_p")
-        if min(self.Q) <= 0 or min(self.R) <= 0:
-            raise ConfigError("weights must be strictly positive")
-        if self.dT <= 0:
-            raise ConfigError("dT must be positive")
+        if not all(math.isfinite(w) and w > 0 for w in self.Q + self.R):
+            raise ConfigError("weights must be finite and strictly positive")
+        if not (math.isfinite(self.dT) and self.dT > 0):
+            raise ConfigError("dT must be finite and positive")
 
 
 def linearize(dep: DriftEquilibrium, params: VehicleParams,
@@ -123,10 +141,32 @@ def _lag_index(n_p: int, n_c: int) -> np.ndarray:
     return idx
 
 
-def _condense(model: AugmentedModel, xi_now: np.ndarray, xi_eq: np.ndarray,
-              cfg: MpcConfig):
-    """Stack the horizon: deviation_k = S w + c_k with w the increments;
-    S is block Toeplitz, block (k, j) = A_hat^(k-j) B_hat for j <= k."""
+class _Horizon(NamedTuple):
+    """The parts of the condensed QP fixed by (AugmentedModel, MpcConfig)."""
+    powers: np.ndarray  # (N_p + 1, 5, 5): A_hat^k
+    acc: np.ndarray     # (N_p, 5): the affine offset of step k from xi = 0
+    S: np.ndarray       # (5 N_p, 2 N_c): block (k, j) = A_hat^(k-j) B_hat
+    SQ: np.ndarray      # S scaled row-wise by q_diag
+    H: np.ndarray       # symmetrized QP Hessian
+    q_diag: np.ndarray  # the state-input weights stacked over N_p
+
+
+@lru_cache(maxsize=16)
+def _weights(cfg: MpcConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The state-input weights stacked over N_p and the diagonal increment
+    weight matrix over N_c.  Read-only."""
+    q_diag = np.tile(np.asarray(cfg.Q, dtype=float), cfg.N_p)
+    R_bar = np.diag(np.tile(np.asarray(cfg.R, dtype=float), cfg.N_c))
+    q_diag.flags.writeable = R_bar.flags.writeable = False
+    return q_diag, R_bar
+
+
+@lru_cache(maxsize=1)
+def _horizon(model: AugmentedModel, cfg: MpcConfig) -> _Horizon:
+    """Stack the horizon of a model: deviation_k = S w + c_k with w the
+    increments; S is block Toeplitz.  One entry, keyed on the model object:
+    run_episode hands solve_mpc the same model for as long as the drift
+    equilibrium holds still.  Read-only."""
     n_p, n_c = cfg.N_p, cfg.N_c
     A_hat, D_hat = model.A_hat, model.D_hat
     # each product writes into its slot: the gemm/gemv calls of
@@ -139,15 +179,34 @@ def _condense(model: AugmentedModel, xi_now: np.ndarray, xi_eq: np.ndarray,
         np.matmul(A_hat, powers[k - 1], out=powers[k])
         prev = np.matmul(A_hat, prev, out=acc[k - 1])
         prev += D_hat
-    c = powers[1:] @ xi_now
-    c += acc
-    c -= xi_eq
     # blocks[i] = A_hat^(i-1) B_hat, with the zero block at i = 0
     blocks = np.empty((n_p + 1, 5, 2))
     blocks[0] = 0.0
     np.matmul(powers[:n_p], model.B_hat, out=blocks[1:])
     S = blocks.ravel().take(_lag_index(n_p, n_c))
-    return S, c.ravel()
+    q_diag, R_bar = _weights(cfg)
+    SQ = S * q_diag[:, None]
+    H = 2.0 * (S.T @ SQ + R_bar)
+    H = 0.5 * (H + H.T)
+    out = _Horizon(powers, acc, S, SQ, H, q_diag)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+def _offsets(hz: _Horizon, xi_now: np.ndarray, xi_eq: np.ndarray) -> np.ndarray:
+    """The stacked free response c: deviation_k = S w + c_k."""
+    c = hz.powers[1:] @ xi_now
+    c += hz.acc
+    c -= xi_eq
+    return c.ravel()
+
+
+def _condense(model: AugmentedModel, xi_now: np.ndarray, xi_eq: np.ndarray,
+              cfg: MpcConfig):
+    """S and c of the condensed horizon (see _horizon)."""
+    hz = _horizon(model, cfg)
+    return hz.S, _offsets(hz, xi_now, xi_eq)
 
 
 @dataclass(frozen=True)
@@ -157,8 +216,6 @@ class _Constraints:
     b_rate: np.ndarray  # right-hand side of the rate rows
     lo: np.ndarray      # (delta_min, F_min)
     hi: np.ndarray      # (delta_max, F_max)
-    q_diag: np.ndarray  # stacked state-input weights over N_p
-    R_bar: np.ndarray   # diagonal increment weight matrix over N_c
 
 
 @lru_cache(maxsize=16)
@@ -174,9 +231,7 @@ def _constraints(cfg: MpcConfig, limits: ControlLimits) -> _Constraints:
     out = _Constraints(
         A=A, b_rate=np.tile(rate, 2 * n_c),
         lo=np.array([limits.delta_min, limits.F_min]),
-        hi=np.array([limits.delta_max, limits.F_max]),
-        q_diag=np.tile(np.asarray(cfg.Q, dtype=float), cfg.N_p),
-        R_bar=np.diag(np.tile(np.asarray(cfg.R, dtype=float), n_c)))
+        hi=np.array([limits.delta_max, limits.F_max]))
     for arr in vars(out).values():
         arr.flags.writeable = False
     return out
@@ -199,14 +254,11 @@ def solve_mpc(xi_now: np.ndarray, dep: DriftEquilibrium, model: AugmentedModel,
     if (u_prev < lo - 1e-9).any() or (u_prev > hi + 1e-9).any():
         raise InfeasibleQpError("previous input outside the input set")
 
-    xi_eq = dep.as_array()
-    S, c = _condense(model, xi_now, xi_eq, cfg)
-    q_diag = con.q_diag
-    SQ = S * q_diag[:, None]
-    H = 2.0 * (S.T @ SQ + con.R_bar)
-    H = 0.5 * (H + H.T)
-    g = 2.0 * (SQ.T @ c)
-    const = float(c @ (q_diag * c))
+    hz = _horizon(model, cfg)
+    c = _offsets(hz, xi_now, dep.as_array())
+    H = hz.H
+    g = 2.0 * (hz.SQ.T @ c)
+    const = float(c @ (hz.q_diag * c))
 
     A = con.A
     n_rate = con.b_rate.size

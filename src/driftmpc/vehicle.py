@@ -7,7 +7,7 @@ given (e.g. the road friction coefficient).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from .errors import ConfigError, DegenerateSpeedError, FrictionCircleError
 
@@ -36,6 +36,8 @@ class VehicleParams:
     g: float = 9.81  # gravitational acceleration [m/s^2]
 
     def __post_init__(self):
+        if not all(map(math.isfinite, astuple(self))):
+            raise ConfigError(f"vehicle parameters must be finite, got {astuple(self)}")
         if min(self.m, self.I_z, self.a, self.b, self.B, self.C) <= 0:
             raise ConfigError("m, I_z, a, b, B, C must all be positive")
         if not 0.0 < self.mu <= 2.0:
@@ -76,6 +78,8 @@ class ControlLimits:
     d_F_lim: float      # per-step force change bound [N]
 
     def __post_init__(self):
+        if any(map(math.isnan, astuple(self))):
+            raise ConfigError(f"control limits must not be NaN, got {astuple(self)}")
         if self.delta_min >= self.delta_max or self.F_min >= self.F_max:
             raise ConfigError("lower input bounds must be below upper bounds")
         if self.d_delta_lim <= 0 or self.d_F_lim <= 0:

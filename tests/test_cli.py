@@ -1,3 +1,4 @@
+import json
 import math
 import os
 
@@ -8,7 +9,7 @@ from driftmpc.bo import CostConfig
 from driftmpc.cli import build_parser, main
 from driftmpc.equilibrium import R_EQ_MIN
 from driftmpc.harness import (FREE_COMPONENTS, EpisodeTrace, case_scenario,
-                              run_episode, scenario_to_file)
+                              run_episode, scenario_to_dict, scenario_to_file)
 
 
 def test_dep_solve(capsys):
@@ -169,6 +170,24 @@ def test_scenario_file_that_is_not_json_reported_without_traceback(tmp_path, cap
     err = capsys.readouterr().err
     assert err.startswith("driftmpc: ConfigError: ")
     assert str(bad) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("mpc", "Q", [10, 1, 10]), ("mpc", "R", [1.0]), ("mpc", "N_p", 20.5),
+    ("mpc", "N_c", 19.0), ("mpc", "Q", [10.0, 1.0, math.nan, 1.0, 1.0]),
+    ("limits", "F_max", math.nan), ("plant_params", "m", math.inf),
+    ("model_params", "I_z", math.nan)])
+def test_malformed_scenario_section_reported_without_traceback(tmp_path, capsys,
+                                                               section, key, value):
+    data = scenario_to_dict(case_scenario(case=1, mode="ppt", T=1.0))
+    data[section][key] = value
+    sc_file = tmp_path / "scenario.json"
+    sc_file.write_text(json.dumps(data))  # NaN and Infinity as JSON reads them
+    out_dir = tmp_path / "o"
+    assert main(["simulate", "--scenario", str(sc_file), "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("driftmpc: ConfigError: ") and "Traceback" not in err
+    assert not out_dir.exists()
 
 
 def test_mode_choices_follow_the_mode_table():

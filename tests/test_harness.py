@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from driftmpc import harness
 from driftmpc import mpc as mpc_module
 from driftmpc.bo import BoResult, CostConfig, failed_episode_cost
 from driftmpc.errors import ConfigError
@@ -14,6 +15,7 @@ from driftmpc.harness import (E_FAIL, FREE_COMPONENTS, TRACE_COLUMNS, EightSpec,
                               scenario_from_dict, scenario_from_file,
                               scenario_to_dict, scenario_to_file, tune,
                               tune_objective)
+from driftmpc.mpc import linearize
 from driftmpc.paths import ClothoidSpec
 from driftmpc.qp import solve_qp
 from driftmpc.tracking import AptParams
@@ -42,6 +44,27 @@ class TestRunEpisode:
         assert trace.failure_reason.startswith("controller failure at step 0")
         assert "KKT certificate" in trace.failure_reason
         assert m.cost_J == CostConfig().j_fail
+
+    @pytest.mark.parametrize("case, mode, theta, steps, calls", [
+        (1, "ppt", None, 184, 20), (2, "almpc", (-0.473, 0.993, 2.90), 50, 14)])
+    def test_linearizes_once_per_equilibrium(self, monkeypatch, case, mode,
+                                             theta, steps, calls):
+        """The radius grid and the fixed base steering repeat equilibria
+        bit for bit, and a failed solve holds the previous one; each such
+        step reuses the model of the equilibrium before it."""
+        seen = []
+
+        def counted(dep, *args):
+            seen.append(dep)
+            return linearize(dep, *args)
+
+        monkeypatch.setattr(harness, "linearize", counted)
+        trace, _ = run_episode(case_scenario(case=case, mode=mode), theta)
+        assert len(trace) == steps and len(seen) == calls
+        assert all(a != b for a, b in zip(seen, seen[1:]))
+        held = np.column_stack([trace.columns[c] for c in
+                                ("V_eq", "beta_eq", "r_eq", "delta_eq_hat", "F_xr_eq")])
+        assert calls == 1 + np.any(held[1:] != held[:-1], axis=1).sum()
 
     def test_nominal_hold_drift_rmse(self, hold_scenario):
         trace, m = run_episode(hold_scenario, (-0.52, 1.0, 0.0))

@@ -492,7 +492,7 @@ def test_condense_per_block_on_drift_model(aug, dep, n_p, n_c):
 class TestConstraintCache:
     def test_read_only(self, mpc_cfg, limits):
         con = _constraints(mpc_cfg, limits)
-        for arr in (con.A, con.b_rate, con.lo, con.hi, con.q_diag, con.R_bar):
+        for arr in (con.A, con.b_rate, con.lo, con.hi, *mpc._weights(mpc_cfg)):
             assert not arr.flags.writeable
         with pytest.raises(ValueError):
             con.A[0, 0] = 2.0
@@ -505,8 +505,9 @@ class TestConstraintCache:
         con = _constraints(cfg, limits)
         assert np.array_equal(con.A, A_ref)
         assert np.array_equal(con.b_rate, b_ref[:4 * n_c])
-        assert np.array_equal(con.q_diag, np.tile(np.asarray(cfg.Q, float), cfg.N_p))
-        assert np.array_equal(con.R_bar, np.diag(np.tile(np.asarray(cfg.R, float), n_c)))
+        q_diag, R_bar = mpc._weights(cfg)
+        assert np.array_equal(q_diag, np.tile(np.asarray(cfg.Q, float), cfg.N_p))
+        assert np.array_equal(R_bar, np.diag(np.tile(np.asarray(cfg.R, float), n_c)))
 
     def test_equal_limits_share_an_entry(self, mpc_cfg, limits):
         twin = ControlLimits(**asdict(limits))
@@ -558,6 +559,20 @@ class TestMpcConfig:
             MpcConfig(Q=(1, 1, 1, 1, 0))
         with pytest.raises(ConfigError):
             MpcConfig(dT=0.0)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(Q=(10.0, 1.0, 10.0)), dict(Q=(1.0,) * 6), dict(R=(1.0,)),
+        dict(R=(1.0, 1.0, 1.0)), dict(N_p=20.5), dict(N_p=20.0), dict(N_c=19.0),
+        dict(N_c=True), dict(Q=(10.0, 1.0, math.nan, 1.0, 1.0)),
+        dict(R=(1.0, math.nan)), dict(Q=(math.inf, 1.0, 10.0, 1.0, 1.0)),
+        dict(dT=math.nan), dict(dT=math.inf)],
+        ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
+    def test_malformed_configuration_is_a_config_error(self, kwargs):
+        with pytest.raises(ConfigError):
+            MpcConfig(**kwargs)
+
+    def test_numpy_integer_horizons_accepted(self):
+        assert MpcConfig(N_p=np.int64(20), N_c=np.int64(19)) == MpcConfig()
 
 
 @pytest.fixture(scope="module")
@@ -629,3 +644,75 @@ def test_lag_index_is_cached_read_only(mpc_cfg):
     idx = mpc._lag_index(mpc_cfg.N_p, mpc_cfg.N_c)
     assert idx is mpc._lag_index(mpc_cfg.N_p, mpc_cfg.N_c)
     assert not idx.flags.writeable
+
+
+def solution_bits(sol):
+    return (float.hex(sol.u_next.delta), float.hex(sol.u_next.F_xr),
+            float.hex(sol.cost), [float.hex(v) for v in sol.delta_u.tolist()],
+            sol.qp_iterations, sol.n_active)
+
+
+def per_step_qp(model, xi_now, xi_eq, cfg):
+    """Oracle: the QP's H and g built from scratch at every step."""
+    S, c = condense_oracle(model, xi_now, xi_eq, cfg)
+    q = np.tile(np.asarray(cfg.Q, dtype=float), cfg.N_p)
+    SQ = S * q[:, None]
+    H = 2.0 * (S.T @ SQ + np.diag(np.tile(np.asarray(cfg.R, dtype=float), cfg.N_c)))
+    H = 0.5 * (H + H.T)
+    return H, 2.0 * (SQ.T @ c)
+
+
+class TestHorizonReuse:
+    """solve_mpc condenses once per model object and reuses the result while
+    it is handed the same model; nothing it returns may depend on that."""
+
+    def test_reused_cached_and_fresh_models_agree_bitwise(self, dep, params,
+                                                          mpc_cfg, limits,
+                                                          monkeypatch):
+        seen = []
+
+        def capture(H, g, A, b, *args):
+            seen.append((H, g))
+            return solve_qp(H, g, A, b, *args)
+
+        monkeypatch.setattr(mpc, "solve_qp", capture)
+        kept = augment(linearize(dep, params, mpc_cfg.dT))
+        lo = np.array([limits.delta_min, limits.F_min])
+        hi = np.array([limits.delta_max, limits.F_max])
+        rng = np.random.default_rng(11)
+        for _ in range(6):
+            xi = dep.as_array() + rng.normal(scale=[0.8, 0.05, 0.02, 0.05, 300.0])
+            xi[3:] = np.clip(xi[3:], lo, hi)
+            # a fresh model evicts the kept one, which is then rebuilt from
+            # the same arrays, then served from the cache
+            fresh = solve_mpc(xi, dep, augment(linearize(dep, params, mpc_cfg.dT)),
+                              mpc_cfg, limits)
+            reused = solve_mpc(xi, dep, kept, mpc_cfg, limits)
+            hits = mpc._horizon.cache_info().hits
+            cached = solve_mpc(xi, dep, kept, mpc_cfg, limits)
+            assert mpc._horizon.cache_info().hits == hits + 1
+            assert solution_bits(fresh) == solution_bits(reused) == solution_bits(cached)
+            want = bits(*per_step_qp(kept, xi, dep.as_array(), mpc_cfg))
+            assert [bits(*qp) for qp in seen[-3:]] == [want] * 3
+
+    def test_equal_values_other_identity_recomputes(self, aug, mpc_cfg):
+        twin = AugmentedModel(A_hat=aug.A_hat.copy(), B_hat=aug.B_hat.copy(),
+                              D_hat=aug.D_hat.copy())
+        assert twin != aug
+        first = mpc._horizon(aug, mpc_cfg)
+        assert mpc._horizon(aug, mpc_cfg) is first
+        other = mpc._horizon(twin, mpc_cfg)
+        assert other is not first
+        assert bits(*other) == bits(*first)
+        assert mpc._horizon(aug, mpc_cfg) is not first  # one entry only
+
+    def test_model_and_horizon_arrays_are_read_only(self, dep, params, mpc_cfg):
+        model = augment(linearize(dep, params, mpc_cfg.dT))
+        hz = mpc._horizon(model, mpc_cfg)
+        S, _ = _condense(model, dep.as_array(), dep.as_array(), mpc_cfg)
+        assert S is hz.S
+        for arr in (*vars(model).values(), *hz):
+            with pytest.raises(ValueError):
+                arr.flat[0] = 1.0
+        with pytest.raises(ValueError):
+            hz.H[0, 0] = 1.0

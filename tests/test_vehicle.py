@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from driftmpc import vehicle
 from driftmpc.errors import (ConfigError, DegenerateSpeedError, DriftMpcError,
                              FrictionCircleError)
-from driftmpc.vehicle import (V_FLOOR, ControlInput, Pose, VehicleParams,
-                              VehicleState, default_vehicle_params, dynamics,
-                              step, wrap_angle)
+from driftmpc.vehicle import (V_FLOOR, ControlInput, ControlLimits, Pose,
+                              VehicleParams, VehicleState, default_limits,
+                              default_vehicle_params, dynamics, step, wrap_angle)
 
 # Oracle: the model as separate tire helpers over the state and input
 # dataclasses; the float kernel `dynamics` must reproduce it bit for bit.
@@ -113,6 +113,19 @@ def test_params_validation():
         VehicleParams(m=-1, I_z=1, a=1, b=1, B=1, C=1, mu=1)
     with pytest.raises(ConfigError):
         VehicleParams(m=1, I_z=1, a=1, b=1, B=1, C=1, mu=2.5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", [f.name for f in fields(VehicleParams)])
+def test_non_finite_params_rejected(name, bad):
+    with pytest.raises(ConfigError, match="finite"):
+        replace(default_vehicle_params(), **{name: bad})
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(ControlLimits)])
+def test_nan_limits_rejected(name):
+    with pytest.raises(ConfigError, match="NaN"):
+        replace(default_limits(), **{name: math.nan})
 
 
 class TestSlipAngles:
