@@ -9,11 +9,12 @@ almpc optimum and its episode.  It prints one line per seed with each
 `rmse_e`, the index of the almpc tune's best evaluation, criterion 8's
 max|e| against its 1 m bound, and PASS/FAIL for both criteria.
 
-    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 scripts/seed_sweep.py [--seeds 0 1 2]
+    OPENBLAS_NUM_THREADS=1 python3 scripts/seed_sweep.py [--seeds 0 1 2]
 
 The tunes' GP factorizations round differently with the BLAS thread
 count, so the script reports OPENBLAS_NUM_THREADS as it found it; it
-does not set it.  One seed takes about 2-2.5 minutes on one core.
+does not set it.  One seed takes about 2-2.5 minutes on one core.  The
+package is taken from the src/ directory next to this script.
 """
 from __future__ import annotations
 
@@ -21,11 +22,14 @@ import argparse
 import os
 import sys
 import time
+from pathlib import Path
 
-import numpy as np
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from driftmpc.bo import CostConfig
-from driftmpc.harness import case_scenario, run_episode, tune
+import numpy as np  # noqa: E402
+
+from driftmpc.bo import CostConfig  # noqa: E402
+from driftmpc.harness import case_scenario, run_episode, tune  # noqa: E402
 
 
 def sweep_seed(seed: int, rmse_ppt: float, max_e_ppt2: float) -> str:

@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtr
-from scipy.stats import qmc
 
 from .errors import ConfigError
 from .gp import NUGGET, GpDataset, GpModel, gp_fit, gp_predict, gp_predict_batch
@@ -38,6 +37,7 @@ class ThetaBounds:
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         """Scrambled low-discrepancy sample of n points in the box."""
+        from scipy.stats import qmc  # imported on first use: only the tuner needs scipy.stats
         sob = qmc.Sobol(d=self.dim, scramble=True, seed=seed)
         n_pow2 = 1 << max(int(n - 1).bit_length(), 0) if n > 1 else 1
         u = sob.random(n_pow2)[:n]
@@ -53,6 +53,8 @@ class CostConfig:
     j_fail: float = 10.0   # cost assigned to crashed/diverged episodes
 
     def __post_init__(self):
+        if not all(map(math.isfinite, vars(self).values())):
+            raise ConfigError(f"cost parameters must be finite, got {vars(self)}")
         if self.lam <= 0 or self.e_max <= 0 or self.N_k < 2:
             raise ConfigError("need lam > 0, e_max > 0, N_k >= 2")
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.optimize import minimize
 
 from .errors import ConfigError
 
@@ -129,6 +128,7 @@ def gp_fit(dataset: GpDataset, lo, hi, *, seed: int = 0,
     if hypers is not None:
         ell, sigma_eta2 = np.asarray(hypers[0], float), hypers[1]
     else:
+        from scipy.optimize import minimize  # imported on first use: only the tuner needs it
         var_y = float(np.var(y)) or 1.0  # constant data: unit signal scale
         bounds = [(math.log(0.01), math.log(10.0))] * d \
             + [(math.log(1e-4 * var_y), math.log(1e2 * var_y))]

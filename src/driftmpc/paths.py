@@ -26,6 +26,8 @@ class ClothoidSpec:
     length: float = 360.0    # total arc length [m]
 
     def __post_init__(self):
+        if not all(map(math.isfinite, vars(self).values())):
+            raise ConfigError(f"clothoid parameters must be finite, got {vars(self)}")
         if self.length <= 0:
             raise ConfigError("clothoid length must be positive")
 
@@ -63,6 +65,8 @@ class EightSpec:
     radius: float = 40.0  # lobe radius [m]
 
     def __post_init__(self):
+        if not math.isfinite(self.radius):
+            raise ConfigError(f"radius must be finite, got {self.radius}")
         if self.radius <= 0:
             raise ConfigError("radius must be positive")
 

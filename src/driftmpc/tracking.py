@@ -27,6 +27,8 @@ class AptParams:
     delta_eq_base: float = -0.52  # base steering equilibrium [rad]
 
     def __post_init__(self):
+        if not all(map(math.isfinite, vars(self).values())):
+            raise ConfigError(f"APT parameters must be finite, got {vars(self)}")
         if self.x_la <= 0:
             raise ConfigError("look-ahead distance must be positive")
 

@@ -176,7 +176,8 @@ def test_scenario_file_that_is_not_json_reported_without_traceback(tmp_path, cap
     ("mpc", "Q", [10, 1, 10]), ("mpc", "R", [1.0]), ("mpc", "N_p", 20.5),
     ("mpc", "N_c", 19.0), ("mpc", "Q", [10.0, 1.0, math.nan, 1.0, 1.0]),
     ("limits", "F_max", math.nan), ("plant_params", "m", math.inf),
-    ("model_params", "I_z", math.nan)])
+    ("model_params", "I_z", math.nan), ("apt", "k", math.nan), ("apt", "x_la", math.nan),
+    ("cost", "j_fail", math.nan), ("path", "length", math.nan)])
 def test_malformed_scenario_section_reported_without_traceback(tmp_path, capsys,
                                                                section, key, value):
     data = scenario_to_dict(case_scenario(case=1, mode="ppt", T=1.0))

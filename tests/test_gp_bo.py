@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -426,3 +427,10 @@ def test_cost_config_validation():
         CostConfig(lam=-1.0)
     with pytest.raises(ConfigError):
         CostConfig(N_k=1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", [f.name for f in fields(CostConfig)])
+def test_non_finite_cost_config_rejected(name, bad):
+    with pytest.raises(ConfigError, match="finite"):
+        CostConfig(**{name: bad})

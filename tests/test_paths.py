@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,6 +14,12 @@ STOCK = ClothoidSpec(x0=0.0, y0=0.0, theta0=0.0, kappa=1 / 40,
 
 
 class TestBuildClothoid:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", [f.name for f in fields(ClothoidSpec)])
+    def test_non_finite_field_rejected(self, name, bad):
+        with pytest.raises(ConfigError, match="finite"):
+            ClothoidSpec(**{name: bad})
+
     def test_zero_curvature_is_straight(self):
         spec = ClothoidSpec(x0=1.0, y0=2.0, theta0=0.5, kappa=0.0,
                             kappa_prime=0.0, length=50.0)
@@ -94,6 +101,11 @@ class TestBuildEight:
     def test_invalid_radius(self):
         with pytest.raises(ConfigError):
             EightSpec(-1.0).build()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_radius_rejected(self, bad):
+        with pytest.raises(ConfigError, match="finite"):
+            EightSpec(bad)
 
     @pytest.mark.parametrize("spacing", [0.0, -1.0, 2 * math.pi * 40.0 + 1e-9,
                                          1000.0, math.nan])

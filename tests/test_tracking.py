@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -190,3 +191,10 @@ def test_ppt_radius_matches_scalar_loop(case):
 def test_apt_params_validation():
     with pytest.raises(ConfigError):
         AptParams(w_r=1.0, w_e=0.0, x_la=0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", [f.name for f in fields(AptParams)])
+def test_non_finite_apt_params_rejected(name, bad):
+    with pytest.raises(ConfigError, match="finite"):
+        AptParams(**{name: bad})
