@@ -54,7 +54,9 @@ run report_failed -- report --traces sim_case2/trace_almpc.csv --out report_fail
 
 # qp_digest.txt, one line per recorded QP instance: its iterations, the
 # working set in the order the solver left it, and the exact bits of x and
-# of the multipliers lam
+# of the multipliers lam.  Each instance is also solved twice on read-only
+# copies of H and A, which solve_qp may answer from the set-up it kept for
+# them; the script exits 1 if either answer differs from the line printed
 python3 -B - "$root/perfbench" > qp_digest.txt <<'PY'
 import sys
 sys.path.insert(0, sys.argv[1])
@@ -62,34 +64,65 @@ import qpset
 from driftmpc.errors import DriftMpcError
 from driftmpc.qp import solve_qp
 
-qps = qpset.load(sys.argv[1] + "/data/qp_instances.npz")
-for k, (H, g, b) in enumerate(zip(qps["H"], qps["g"], qps["b"])):
+
+def line(k, H, g, A, b):
     try:
-        r = solve_qp(H, g, qps["A"], b)
+        r = solve_qp(H, g, A, b)
     except DriftMpcError as exc:
-        print(k, type(exc).__name__)
-        continue
-    print(k, r.iterations, r.active, " ".join(map(float.hex, r.x.tolist())),
-          "lam", " ".join(map(float.hex, r.lam.tolist())))
+        return f"{k} {type(exc).__name__}"
+    return " ".join([str(k), str(r.iterations), str(r.active),
+                     " ".join(map(float.hex, r.x.tolist())),
+                     "lam", " ".join(map(float.hex, r.lam.tolist()))])
+
+
+def read_only(a):
+    a = a.copy()
+    a.flags.writeable = False
+    return a
+
+
+qps = qpset.load(sys.argv[1] + "/data/qp_instances.npz")
+A, A_ro = qps["A"], read_only(qps["A"])
+for k, (H, g, b) in enumerate(zip(qps["H"], qps["g"], qps["b"])):
+    cold = line(k, H, g, A, b)
+    H_ro = read_only(H)
+    for _ in range(2):
+        if line(k, H_ro, g, A_ro, b) != cold:
+            sys.exit(f"instance {k}: the read-only solve differs from the cold one")
+    print(cold)
 PY
 
 # kernel_digest.txt, one line per cell of a (delta, R) grid that holds
 # drift, grip and non-converging cells, plus one equilibrium moved onto the
 # rear friction cap so that linearize differences that column one-sided:
-# the exact bits of the solve_dep result and, at it, of linearize's A, B, d
-# and _condense's S, c; or the class of the exception the solve raised
+# the exact bits of the solve_dep result and, at it, of linearize's A, B, d,
+# _condense's S, c and the H, g that solve_mpc hands the QP; or the class
+# of the exception the solve raised
 python3 -B - > kernel_digest.txt <<'PY'
 import dataclasses
 
 import numpy as np
+from driftmpc import mpc
 from driftmpc.equilibrium import solve_dep
 from driftmpc.errors import DriftMpcError
-from driftmpc.mpc import MpcConfig, _condense, augment, linearize
-from driftmpc.vehicle import default_vehicle_params
+from driftmpc.mpc import MpcConfig, _condense, augment, linearize, solve_mpc
+from driftmpc.vehicle import default_limits, default_vehicle_params
 
 params = default_vehicle_params()
+limits = default_limits()
 cfg = MpcConfig()
 offset = np.array([0.5, -0.02, 0.01, -0.05, 200.0])
+
+
+class QpData(Exception):
+    """Carries the (H, g) solve_mpc passed to solve_qp, before the solve."""
+
+
+def stop_at_the_qp(H, g, A, b, *args, **kwargs):
+    raise QpData(H, g)
+
+
+mpc.solve_qp = stop_at_the_qp
 
 
 def hexes(*arrays):
@@ -98,9 +131,14 @@ def hexes(*arrays):
 
 def line(name, eq):
     lin = linearize(eq, params, cfg.dT)
+    model = augment(lin)
     xi_eq = eq.as_array()
-    S, c = _condense(augment(lin), xi_eq + offset, xi_eq, cfg)
-    print(name, hexes(xi_eq, lin.A, lin.B, lin.d, S, c))
+    S, c = _condense(model, xi_eq + offset, xi_eq, cfg)
+    try:
+        solve_mpc(xi_eq + offset, eq, model, cfg, limits)
+    except QpData as qp:
+        H, g = qp.args
+    print(name, hexes(xi_eq, lin.A, lin.B, lin.d, S, c, H, g))
 
 
 for delta in (-0.9, -0.52, -0.1, 0.2):

@@ -7,7 +7,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import ConfigError
 from .gp import NUGGET, GpDataset, GpModel, gp_fit, gp_predict, gp_predict_batch
@@ -97,6 +96,7 @@ def failed_episode_cost(steps: int, cfg: CostConfig) -> float:
 def _ei(mu, var, best_cost: float) -> np.ndarray:
     """Expected amount by which N(mu, var) beats the incumbent
     (minimization), elementwise; zero where the variance is zero."""
+    from scipy.special import ndtr  # imported on first use: only the tuner needs scipy.special
     mu, var = np.atleast_1d(mu, var)
     sigma = np.sqrt(var)
     out = np.zeros(len(mu))

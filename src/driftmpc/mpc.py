@@ -101,7 +101,7 @@ def linearize(dep: DriftEquilibrium, params: VehicleParams,
     x_eq, u_eq = z[:3], z[3:]
     A = np.eye(3) + jac[:, :3] * dT
     B = jac[:, 3:] * dT
-    d = x_eq - A @ x_eq - B @ u_eq
+    d = x_eq - A.dot(x_eq) - B.dot(u_eq)
     return LinearModel(A=A, B=B, d=d)
 
 
@@ -170,14 +170,16 @@ def _horizon(model: AugmentedModel, cfg: MpcConfig) -> _Horizon:
     n_p, n_c = cfg.N_p, cfg.N_c
     A_hat, D_hat = model.A_hat, model.D_hat
     # each product writes into its slot: the gemm/gemv calls of
-    # A_hat @ powers[k - 1] and A_hat @ acc[k - 2] + D_hat, without temporaries
+    # A_hat @ powers[k - 1] and A_hat @ acc[k - 2] + D_hat, without temporaries.
+    # 2-D products call ndarray.dot, the same cblas calls as @ with less
+    # dispatch; stacked ones stay matmul, as dot leaves BLAS for N-D operands
     powers = np.empty((n_p + 1, 5, 5))
     powers[0] = np.eye(5)
     acc = np.empty((n_p, 5))
     prev = np.zeros(5)
     for k in range(1, n_p + 1):
-        np.matmul(A_hat, powers[k - 1], out=powers[k])
-        prev = np.matmul(A_hat, prev, out=acc[k - 1])
+        A_hat.dot(powers[k - 1], out=powers[k])
+        prev = A_hat.dot(prev, out=acc[k - 1])
         prev += D_hat
     # blocks[i] = A_hat^(i-1) B_hat, with the zero block at i = 0
     blocks = np.empty((n_p + 1, 5, 2))
@@ -186,7 +188,7 @@ def _horizon(model: AugmentedModel, cfg: MpcConfig) -> _Horizon:
     S = blocks.ravel().take(_lag_index(n_p, n_c))
     q_diag, R_bar = _weights(cfg)
     SQ = S * q_diag[:, None]
-    H = 2.0 * (S.T @ SQ + R_bar)
+    H = 2.0 * (S.T.dot(SQ) + R_bar)
     H = 0.5 * (H + H.T)
     out = _Horizon(powers, acc, S, SQ, H, q_diag)
     for arr in out:
@@ -257,8 +259,8 @@ def solve_mpc(xi_now: np.ndarray, dep: DriftEquilibrium, model: AugmentedModel,
     hz = _horizon(model, cfg)
     c = _offsets(hz, xi_now, dep.as_array())
     H = hz.H
-    g = 2.0 * (hz.SQ.T @ c)
-    const = float(c @ (hz.q_diag * c))
+    g = 2.0 * hz.SQ.T.dot(c)
+    const = float(c.dot(hz.q_diag * c))
 
     A = con.A
     n_rate = con.b_rate.size
@@ -280,7 +282,7 @@ def solve_mpc(xi_now: np.ndarray, dep: DriftEquilibrium, model: AugmentedModel,
     u_next = u_prev + du1
     # snap exactly onto any active first-step bound to keep invariants tight
     u_next = np.minimum(np.maximum(u_next, lo), hi)
-    cost = float(0.5 * w @ H @ w + g @ w + const)
+    cost = float((0.5 * w).dot(H).dot(w) + g.dot(w) + const)
     return MpcSolution(u_next=ControlInput(float(u_next[0]), float(u_next[1])),
                        cost=cost, delta_u=du1, kkt=kkt,
                        qp_iterations=res.iterations, n_active=len(res.active))

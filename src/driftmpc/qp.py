@@ -9,6 +9,7 @@ are newtons, so raw Hessians are badly conditioned).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
@@ -20,6 +21,7 @@ FEAS_TOL = 1e-9
 MULT_TOL = 1e-9
 KKT_TOL = 1e-6  # largest relative KKT residual of an answer solve_mpc applies
 MAX_ITER = 500  # active-set iterations before giving up
+_NOT_FINITE = "QP data must be finite (b may hold +inf)"
 
 
 @dataclass
@@ -31,14 +33,14 @@ class QpResult:
 
     def kkt_residuals(self, H, g, A, b) -> dict:
         """Stationarity, primal feasibility and complementarity residuals."""
-        grad = H @ self.x + g + A.T @ self.lam
-        slack = A @ self.x - b
+        grad = H.dot(self.x) + g + A.T.dot(self.lam)
+        slack = A.dot(self.x) - b
         on = self.lam != 0.0  # rows without a multiplier (+inf too) are complementary
         return {
-            "stationarity": float(np.abs(grad).max()) if grad.size else 0.0,
-            "feasibility": float(max(slack.max(), 0.0)) if slack.size else 0.0,
+            "stationarity": float(_amax(np.abs(grad))) if grad.size else 0.0,
+            "feasibility": float(max(_amax(slack), 0.0)) if slack.size else 0.0,
             "complementarity": _max_abs(self.lam[on] * slack[on]),
-            "dual": float(max(-self.lam.min(), 0.0)) if slack.size else 0.0,
+            "dual": float(max(-_amin(self.lam), 0.0)) if slack.size else 0.0,
         }
 
     def relative_residual(self, H, g, A, b) -> float:
@@ -46,29 +48,26 @@ class QpResult:
         stationarity over |g|, |Hx|, |A'lam|; feasibility over s = |Ax|;
         complementarity over s |lam|; the dual residual over |lam|."""
         r = self.kkt_residuals(H, g, A, b)
-        s_feas = max(1.0, _max_abs(A @ self.x))
+        s_feas = max(1.0, _max_abs(A.dot(self.x)))
         s_lam = max(1.0, _max_abs(self.lam))
-        s_stat = max(1.0, _max_abs(g), _max_abs(H @ self.x), _max_abs(A.T @ self.lam))
+        s_stat = max(1.0, _max_abs(g), _max_abs(H.dot(self.x)), _max_abs(A.T.dot(self.lam)))
         return max(r["stationarity"] / s_stat, r["feasibility"] / s_feas,
                    r["complementarity"] / (s_feas * s_lam), r["dual"] / s_lam)
 
 
+# Products of 2-D operands call ndarray.dot, the cblas gemm/gemv that @
+# runs, with less dispatch per call; max and min call the reductions that
+# ndarray.max and .min run, without numpy's Python-level _amax and _amin
+_amax, _amin = np.maximum.reduce, np.minimum.reduce
+
+
 def _max_abs(v: np.ndarray) -> float:
-    return float(np.abs(v).max(initial=0.0))
+    return float(_amax(np.abs(v), initial=0.0))
 
 
 # solve_qp validates its data once at entry, so the Cholesky factorization
-# and solves call LAPACK directly: the same potrf/potrs that
+# (in _setup) and solves call LAPACK directly: the same potrf/potrs that
 # scipy.linalg.cho_factor/cho_solve run, without their per-call checks
-def _cho_factor(H: np.ndarray) -> np.ndarray:
-    """Upper Cholesky factor of H (lower triangle left unspecified)."""
-    c, info = dpotrf(H, lower=0, clean=0)
-    if info > 0:
-        raise ConfigError(
-            f"Hessian is not positive definite (leading minor {info})")
-    return c
-
-
 def _cho_solve(c: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return dpotrs(c, rhs, lower=0)[0]
 
@@ -94,7 +93,7 @@ def _polish(H, g, A, b, working: list[int], n: int, chol):
     nw = len(working)
     if nw == 0:
         x = -_cho_solve(chol, g)
-        x -= _cho_solve(chol, H @ x + g)  # refinement
+        x -= _cho_solve(chol, H.dot(x) + g)  # refinement
         return x, np.zeros(0)
     Aw = A[working]
     kkt = np.zeros((n + nw, n + nw))
@@ -104,11 +103,68 @@ def _polish(H, g, A, b, working: list[int], n: int, chol):
     rhs = np.concatenate([-g, b[working]])
     try:
         sol = _lu_solve(kkt, rhs)
-        resid = rhs - kkt @ sol
+        resid = rhs - kkt.dot(sol)
         sol += _lu_solve(kkt, resid)
     except LinAlgError:
         sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
     return sol[:n], sol[n:]
+
+
+class _Setup(NamedTuple):
+    """What solve_qp derives from H and A alone, in the equilibrated
+    variables x = D z with D = diag(H_ii^(-1/2)).  Its arrays are made
+    read-only when it is kept for later calls."""
+    d: np.ndarray     # the diagonal of D
+    Hs: np.ndarray    # D H D
+    As: np.ndarray    # A D
+    chol: np.ndarray  # upper Cholesky factor of Hs (lower triangle unspecified)
+    minor: int        # 0, or the order of the first leading minor of Hs that
+                      # is not positive, in which case chol is no factor
+
+
+def _setup(H: np.ndarray, A: np.ndarray) -> _Setup:
+    """Check H and A (finite, H with a strictly positive diagonal), then
+    equilibrate and factor.  A Hessian that is not positive definite is
+    recorded, not raised: solve_qp reports an infeasible start first."""
+    if not (np.isfinite(H).all() and np.isfinite(A).all()):
+        raise ConfigError(_NOT_FINITE)
+    h_diag = np.diag(H)
+    if not (h_diag > 0.0).all():
+        raise ConfigError("Hessian diagonal must be strictly positive")
+    d = 1.0 / np.sqrt(h_diag)
+    Hs = H * d[:, None] * d[None, :]
+    chol, minor = dpotrf(Hs, lower=0, clean=0)
+    return _Setup(d, Hs, A * d[None, :], chol, minor)
+
+
+# (H, A, _setup(H, A)) of the last pair of read-only arrays solve_qp was
+# given, keyed on their identity: solve_mpc hands it the same Hessian and
+# constraint matrix for as long as the drift equilibrium holds still (see
+# mpc._horizon).  A writeable array, or a read-only view of one, can change
+# between calls, so its set-up is never kept; a read-only array is taken
+# to stay as it is.  The entry is read and replaced as one tuple, so a
+# thread never pairs one solve's arrays with another's set-up.
+_last_setup = None
+
+
+def _read_only(a: np.ndarray) -> bool:
+    """a and the array whose memory it views, if any, are read-only."""
+    base = a.base
+    return not a.flags.writeable and (
+        base is None or isinstance(base, np.ndarray) and not base.flags.writeable)
+
+
+def _setup_of(H: np.ndarray, A: np.ndarray) -> _Setup:
+    global _last_setup
+    last = _last_setup
+    if last is not None and last[0] is H and last[1] is A:
+        return last[2]
+    setup = _setup(H, A)
+    if _read_only(H) and _read_only(A):
+        for arr in setup[:4]:
+            arr.flags.writeable = False
+        _last_setup = (H, A, setup)
+    return setup
 
 
 def solve_qp(H: np.ndarray, g: np.ndarray, A: np.ndarray, b: np.ndarray,
@@ -117,7 +173,9 @@ def solve_qp(H: np.ndarray, g: np.ndarray, A: np.ndarray, b: np.ndarray,
     by default), which must be feasible.  H must be n x n, g and x0 of
     length n, A m x n (or None for m = 0) and b of length m.  H, g, A and
     x0 must be finite; b may hold +inf for an absent bound but no NaN.  H
-    must be positive definite."""
+    must be positive definite.  The checks, equilibration and factorization
+    of H and A are kept from one call to the next while both are the same
+    read-only arrays."""
     n = H.shape[0] if H.ndim else 0
     if A is None:
         A, b = np.zeros((0, n)), np.zeros(0)
@@ -127,25 +185,19 @@ def solve_qp(H: np.ndarray, g: np.ndarray, A: np.ndarray, b: np.ndarray,
         raise ConfigError(
             f"QP shapes do not fit: H {H.shape}, g {np.shape(g)}, A {A.shape}, "
             f"b {np.shape(b)}, x0 {None if x0 is None else np.shape(x0)}")
-    if not (np.isfinite(H).all() and np.isfinite(g).all()
-            and np.isfinite(A).all() and not np.isnan(b).any()
+    if not (np.isfinite(g).all() and not np.isnan(b).any()
             and (x0 is None or np.isfinite(x0).all())):
-        raise ConfigError("QP data must be finite (b may hold +inf)")
-    h_diag = np.diag(H)
-    if not (h_diag > 0.0).all():
-        raise ConfigError("Hessian diagonal must be strictly positive")
-
-    # symmetric diagonal equilibration: work on x = D z with D = H_ii^(-1/2)
-    d = 1.0 / np.sqrt(h_diag)
-    Hs = H * d[:, None] * d[None, :]
+        raise ConfigError(_NOT_FINITE)
+    d, Hs, As, chol, minor = _setup_of(H, A)
     gs = g * d
-    As = A * d[None, :]
 
     z = np.zeros(n) if x0 is None else np.asarray(x0, float) / d
-    if m and float((As @ z - b).max()) > FEAS_TOL:
+    if m and float(_amax(As.dot(z) - b)) > FEAS_TOL:
         raise InfeasibleQpError("starting point violates the constraints")
+    if minor:
+        raise ConfigError(
+            f"Hessian is not positive definite (leading minor {minor})")
 
-    chol = _cho_factor(Hs)
     working: list[int] = []
     # row j of aw is the j-th working row of As and row j of hw its H^-1 a_i;
     # both are allocated when the first row joins (a row cannot join twice
@@ -156,29 +208,29 @@ def solve_qp(H: np.ndarray, g: np.ndarray, A: np.ndarray, b: np.ndarray,
     for it in range(1, MAX_ITER + 1):
         nw = len(working)
         if grad is None:
-            grad = Hs @ z + gs
+            grad = Hs.dot(z) + gs
             hinv_grad = _cho_solve(chol, grad)
-            step_scale = max(1.0, float(np.abs(z).max(initial=0.0)))
+            step_scale = max(1.0, float(_amax(np.abs(z), initial=0.0)))
             slack = None
         if nw:
             Aw = aw[:nw]
             # n x n_w in Fortran order: BLAS rounds the products below
             # differently for a C-ordered copy
             hinv_awt = hw[:nw].T
-            gram = Aw @ hinv_awt
+            gram = Aw.dot(hinv_awt)
             # the working multipliers are -nu; LU and gemv are odd in their
             # right-hand side, so solving for -nu instead would differ at
             # most in the sign of a zero, which no comparison below sees
-            rhs = Aw @ hinv_grad
+            rhs = Aw.dot(hinv_grad)
             try:
                 nu = _lu_solve(gram, rhs)
             except LinAlgError:
                 nu = np.linalg.lstsq(gram, rhs, rcond=None)[0]
-            p = hinv_awt @ nu - hinv_grad
+            p = hinv_awt.dot(nu) - hinv_grad
         else:
             p = -hinv_grad
 
-        p_max = float(np.abs(p).max(initial=0.0))
+        p_max = float(_amax(np.abs(p), initial=0.0))
         stationary = p_max < 1e-9 * step_scale
         if not stationary:
             # longest step before a new constraint blocks; a row is a
@@ -188,11 +240,11 @@ def solve_qp(H: np.ndarray, g: np.ndarray, A: np.ndarray, b: np.ndarray,
             alpha = 1.0
             blocking = -1
             if m:
-                ap = As @ p
+                ap = As.dot(p)
                 idx = ((ap > FEAS_TOL * max(1.0, p_max)) & free).nonzero()[0]
                 if idx.size:
                     if slack is None:
-                        slack = b - As @ z
+                        slack = b - As.dot(z)
                     ratios = slack[idx] / ap[idx]
                     k = int(ratios.argmin())
                     if ratios[k] < alpha:
@@ -211,7 +263,7 @@ def solve_qp(H: np.ndarray, g: np.ndarray, A: np.ndarray, b: np.ndarray,
                 continue
             # full step: z is now the subproblem minimizer and -nu its
             # multiplier vector, so fall through to the optimality check
-        if nw and float(nu.max()) > MULT_TOL * max(1.0, float(np.abs(nu).max())):
+        if nw and float(_amax(nu)) > MULT_TOL * max(1.0, float(_amax(np.abs(nu)))):
             # drop the row with the most negative multiplier; z stays, and
             # so do grad and H^-1 grad
             k = int(nu.argmax())

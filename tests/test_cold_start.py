@@ -1,7 +1,8 @@
 """What a fresh interpreter loads: the controller without the tuner's SciPy
-modules, the tuner with them on first use, and the same Sobol sample as
-when they were imported at the top of the package.  Also that a script
-run without PYTHONPATH finds the package."""
+modules, the tuner with them on first use (each one by the function that
+needs it), and the same Sobol sample as when they were imported at the
+top of the package.  Also that a script run without PYTHONPATH finds the
+package."""
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ from pathlib import Path
 from driftmpc.bo import ThetaBounds
 
 ROOT = Path(__file__).resolve().parents[1]
-TUNER_MODULES = ("scipy.stats", "scipy.optimize")
+TUNER_MODULES = ("scipy.stats", "scipy.optimize", "scipy.special")
 
 # ThetaBounds().sample(5, 0), one row per point, as float.hex
 SAMPLE_5_SEED_0 = [
@@ -57,7 +58,15 @@ def test_sample_and_fit_load_tuner_modules(tmp_path):
         "b = ThetaBounds()\n"
         "x = b.sample(5, 0)\n"
         "gp_fit(GpDataset(x, (x * x).sum(axis=1)), b.lo, b.hi)", tmp_path)
-    assert loaded == dict.fromkeys(TUNER_MODULES, True)
+    assert loaded["scipy.stats"] and loaded["scipy.optimize"]
+
+
+def test_expected_improvement_loads_only_scipy_special(tmp_path):
+    loaded = _loaded_after(
+        "import numpy as np\n"
+        "from driftmpc.bo import _ei\n"
+        "assert _ei(np.array([0.0]), np.array([1.0]), 0.5)[0] > 0.0", tmp_path)
+    assert loaded == {"scipy.stats": False, "scipy.optimize": False, "scipy.special": True}
 
 
 def test_sample_bits_unchanged():

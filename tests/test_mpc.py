@@ -147,7 +147,8 @@ def augment_oracle(model):
     return AugmentedModel(A_hat=A_hat, B_hat=B_hat, D_hat=D_hat)
 
 
-def condense_oracle(model, xi_now, xi_eq, cfg):
+def horizon_oracle(model, cfg):
+    """The powers, affine offsets, S, SQ and H of mpc._horizon."""
     n_p, n_c = cfg.N_p, cfg.N_c
     powers = np.empty((n_p + 1, 5, 5))
     powers[0] = np.eye(5)
@@ -156,12 +157,21 @@ def condense_oracle(model, xi_now, xi_eq, cfg):
     for k in range(1, n_p + 1):
         powers[k] = model.A_hat @ powers[k - 1]
         prev = acc[k - 1] = model.A_hat @ prev + model.D_hat
-    c = (powers[1:] @ xi_now + acc - xi_eq).ravel()
     blocks = np.empty((n_p + 1, 5, 2))
     blocks[0] = 0.0
     blocks[1:] = powers[:n_p] @ model.B_hat
     lag = np.maximum(np.arange(1, n_p + 1)[:, None] - np.arange(n_c)[None, :], 0)
     S = blocks[lag].transpose(0, 2, 1, 3).reshape(5 * n_p, 2 * n_c)
+    q = np.tile(np.asarray(cfg.Q, dtype=float), cfg.N_p)
+    SQ = S * q[:, None]
+    H = 2.0 * (S.T @ SQ + np.diag(np.tile(np.asarray(cfg.R, dtype=float), cfg.N_c)))
+    H = 0.5 * (H + H.T)
+    return powers, acc, S, SQ, H
+
+
+def condense_oracle(model, xi_now, xi_eq, cfg):
+    powers, acc, S, _, _ = horizon_oracle(model, cfg)
+    c = (powers[1:] @ xi_now + acc - xi_eq).ravel()
     return S, c
 
 
@@ -654,11 +664,8 @@ def solution_bits(sol):
 
 def per_step_qp(model, xi_now, xi_eq, cfg):
     """Oracle: the QP's H and g built from scratch at every step."""
-    S, c = condense_oracle(model, xi_now, xi_eq, cfg)
-    q = np.tile(np.asarray(cfg.Q, dtype=float), cfg.N_p)
-    SQ = S * q[:, None]
-    H = 2.0 * (S.T @ SQ + np.diag(np.tile(np.asarray(cfg.R, dtype=float), cfg.N_c)))
-    H = 0.5 * (H + H.T)
+    _, _, _, SQ, H = horizon_oracle(model, cfg)
+    _, c = condense_oracle(model, xi_now, xi_eq, cfg)
     return H, 2.0 * (SQ.T @ c)
 
 
@@ -716,3 +723,39 @@ class TestHorizonReuse:
                 arr.flat[0] = 1.0
         with pytest.raises(ValueError):
             hz.H[0, 0] = 1.0
+
+
+def stable_model(rng):
+    """The augmented form of a random affine model whose state matrix has
+    spectral radius 0.3 to 0.99, inputs scaled like (steering, force)."""
+    M = rng.normal(size=(3, 3))
+    A = M * (rng.uniform(0.3, 0.99) / np.abs(np.linalg.eigvals(M)).max())
+    B = rng.normal(size=(3, 2)) * np.array([1.0, 1e-4]) * 10.0 ** rng.uniform(-1, 1)
+    return augment(mpc.LinearModel(A=A, B=B, d=rng.normal(size=3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(20, 19), (20, 20), (20, 1), (12, 5), (25, 13), (1, 1)]),
+       st.integers(0, 2**32 - 1))
+def test_horizon_and_qp_data_match_the_array_oracles(dep, limits, horizon, seed):
+    """_horizon's arrays and the (H, g) solve_mpc hands the QP are the bytes
+    of the @-based oracles, over random stable models and horizons."""
+    rng = np.random.default_rng(seed)
+    model = stable_model(rng)
+    cfg = MpcConfig(N_p=horizon[0], N_c=horizon[1])
+    hz = mpc._horizon(model, cfg)
+    assert bits(hz.powers, hz.acc, hz.S, hz.SQ, hz.H) == bits(*horizon_oracle(model, cfg))
+    xi = dep.as_array() + rng.normal(scale=[0.8, 0.05, 0.02, 0.0, 0.0])
+    seen = []
+
+    def capture(H, g, A, b, *args, **kwargs):
+        seen.append((H, g))
+        return solve_qp(H, g, A, b, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mpc, "solve_qp", capture)
+        try:
+            solve_mpc(xi, dep, model, cfg, limits)
+        except DriftMpcError:
+            pass  # the QP's own outcome is not what is checked here
+    assert [bits(*qp) for qp in seen] == [bits(*per_step_qp(model, xi, dep.as_array(), cfg))]

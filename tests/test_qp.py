@@ -23,7 +23,8 @@ from hypothesis import strategies as st
 
 from driftmpc import mpc, qp
 from driftmpc.equilibrium import solve_dep
-from driftmpc.errors import DriftMpcError, QpIterationLimitError
+from driftmpc.errors import (ConfigError, DriftMpcError, InfeasibleQpError,
+                             QpIterationLimitError)
 from driftmpc.harness import case_scenario, run_episode
 from driftmpc.mpc import MpcConfig, _constraints, augment, linearize, solve_mpc
 from driftmpc.qp import QpResult, solve_qp
@@ -32,6 +33,15 @@ from driftmpc.vehicle import default_limits, default_vehicle_params
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 KKT_GATE = 1e-6        # acceptance criterion 3
 DEGENERATE_INSTANCE = 5  # the recorded QP the absolute candidate test got wrong
+
+
+def cho_factor(H):
+    """The upper Cholesky factor solve_qp's solves take: LAPACK dpotrf as
+    scipy.linalg.cho_factor calls it, without its checks."""
+    c, info = qp.dpotrf(H, lower=0, clean=0)
+    if info:
+        raise ConfigError(f"not positive definite (leading minor {info})")
+    return c
 
 
 def solve_qp_oracle(H, g, A, b, x0=None, scaled_candidates=True, events=None):
@@ -48,7 +58,7 @@ def solve_qp_oracle(H, g, A, b, x0=None, scaled_candidates=True, events=None):
     gs = g * d
     As = A * d[None, :]
     z = np.zeros(n) if x0 is None else np.asarray(x0, float) / d
-    chol = qp._cho_factor(Hs)
+    chol = cho_factor(Hs)
     working = []
     for it in range(1, qp.MAX_ITER + 1):
         grad = Hs @ z + gs
@@ -326,7 +336,7 @@ def lu_operands(seed: int, kind: str, fortran: bool):
     elif kind == "gram":
         n, nw = 38, int(rng.integers(1, 39))
         M = rng.normal(size=(n, n))
-        chol = qp._cho_factor(M @ M.T + n * np.eye(n))
+        chol = cho_factor(M @ M.T + n * np.eye(n))
         aw = rng.normal(size=(nw, n))
         a = aw @ qp._cho_solve(chol, aw.T)
     else:
@@ -394,7 +404,7 @@ def test_polish_matches_array_oracle(seed):
     H = M @ M.T + np.eye(n)
     g, A, b = rng.normal(size=n), rng.normal(size=(m, n)), rng.normal(size=m)
     working = rng.permutation(m)[:int(rng.integers(0, n + 1))].tolist()
-    chol = qp._cho_factor(H)
+    chol = cho_factor(H)
     got = qp._polish(H, g, A, b, working, n, chol)
     want = polish_oracle(H, g, A, b, working, n, chol)
     assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
@@ -414,6 +424,152 @@ def test_polish_with_a_duplicated_working_row_takes_lstsq(monkeypatch):
     b = np.array([1.0, 1.0, 5.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        x, lam = qp._polish(H, g, A, b, [0, 1], 3, qp._cho_factor(H))
+        x, lam = qp._polish(H, g, A, b, [0, 1], 3, cho_factor(H))
     assert calls == [(5, 5)]
     assert np.allclose(x, [1.0, 1.0, 0.0]) and np.allclose(lam, [1.0, 1.0])
+
+
+# solve_qp keeps the checks, equilibration and Cholesky factor of the last
+# read-only (H, A) pair it was given, keyed on the identity of both arrays.
+# Nothing it returns or raises may depend on whether that set-up was kept.
+
+def read_only(*arrays):
+    out = []
+    for a in arrays:
+        a = np.array(a, dtype=float)
+        a.flags.writeable = False
+        out.append(a)
+    return out
+
+
+@pytest.fixture
+def counted_setups(monkeypatch):
+    """A cold set-up cache and a list that receives the H of every set-up
+    solve_qp computes."""
+    monkeypatch.setattr(qp, "_last_setup", None)
+    calls = []
+    setup = qp._setup
+
+    def spy(H, A):
+        calls.append(H)
+        return setup(H, A)
+
+    monkeypatch.setattr(qp, "_setup", spy)
+    return calls
+
+
+def test_setup_cache_hit_matches_a_writeable_copy(recorded, counted_setups):
+    A = read_only(recorded["A"])[0]
+    for k, (H, g, b) in enumerate(zip(recorded["H"], recorded["g"], recorded["b"])):
+        want = outcome(solve_qp, H.copy(), g, A.copy(), b)
+        H_ro = read_only(H)[0]
+        del counted_setups[:]
+        assert outcome(solve_qp, H_ro, g, A, b) == want, k
+        assert outcome(solve_qp, H_ro, g, A, b) == want, k
+        # one set-up, for the first read-only solve: the second hit the cache
+        assert len(counted_setups) == 1 and counted_setups[0] is H_ro, k
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(degenerate_qps(), mpc_shaped_qps()))
+def test_setup_cache_hit_matches_a_writeable_copy_on_random_instances(instance):
+    H, g, A, b = instance
+    want = outcome(solve_qp, H.copy(), g, A.copy(), b)
+    H_ro, A_ro = read_only(H, A)
+    assert outcome(solve_qp, H_ro, g, A_ro, b) == want
+    assert outcome(solve_qp, H_ro, g, A_ro, b) == want
+    H_kept, A_kept, setup = qp._last_setup
+    assert H_kept is H_ro and A_kept is A_ro
+    assert not any(arr.flags.writeable for arr in setup[:4])
+
+
+def test_twin_with_equal_values_recomputes(counted_setups):
+    n = 4
+    H, A = read_only(np.diag([2.0, 3.0, 4.0, 5.0]) + 0.5, np.vstack([np.eye(n), -np.eye(n)]))
+    twin, A_twin, A_scaled = read_only(H, A, 4.0 * A)
+    g, b = np.full(n, -4.0), np.ones(2 * n)
+    pairs = [(H, A), (H, A), (twin, A), (H, A), (H, A_twin), (H, A_scaled)]
+    answers = [outcome(solve_qp, M, g, C, b) for M, C in pairs]
+    assert answers[:5] == [outcome(solve_qp, H.copy(), g, A.copy(), b)] * 5
+    assert answers[5] == outcome(solve_qp, H.copy(), g, A_scaled.copy(), b) != answers[0]
+    # one set-up per change of either identity, none for the hit
+    assert len(counted_setups) == 7  # the last two for the writeable copies
+    assert [M is want for M, want in zip(counted_setups, (H, twin, H, H, H))] == [True] * 5
+
+
+@pytest.mark.parametrize("mutated", ["H", "A", "H through a read-only view"])
+def test_writeable_array_mutated_in_place_is_never_answered_stale(counted_setups, mutated):
+    """Between two solves the writeable one of (H, A), or the writeable
+    array under a read-only view of H, changes in place while the other
+    stays read-only; the second solve must see the new values."""
+    n = 3
+    M = np.array([[1.3, -2.2, -0.7], [1.2, 1.6, 0.3], [0.7, 1.9, 0.0]])
+    H, A = M @ M.T + np.eye(n), np.vstack([np.eye(n), -np.eye(n)])
+    g, b = np.array([1.6, -4.7, -2.0]), np.full(2 * n, 0.5)
+    H_given = H
+    if mutated.startswith("H"):
+        (A,) = read_only(A)
+    else:
+        (H,) = read_only(H)
+    if mutated == "H through a read-only view":
+        H_given = H.view()
+        H_given.flags.writeable = False
+    first = outcome(solve_qp, H_given, g, A, b)
+    if mutated.startswith("H"):
+        H *= 100.0
+        H[0, 0] = 1e-3
+    else:
+        A[:n] *= 4.0
+    fresh = outcome(solve_qp, H.copy(), g, A.copy(), b)
+    assert outcome(solve_qp, H_given, g, A, b) == fresh != first
+    assert qp._last_setup is None and len(counted_setups) == 3
+
+
+def _not_pd(H):
+    H = H.copy()
+    H[0, 1] = H[1, 0] = 2.0 * math.sqrt(H[0, 0] * H[1, 1])
+    return H
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("case, error", [
+    ("nan-H", ConfigError), ("nan-A", ConfigError), ("zero-diagonal", ConfigError),
+    ("not-positive-definite", ConfigError), ("infeasible-x0", InfeasibleQpError),
+    ("infeasible-x0-not-positive-definite", InfeasibleQpError)])
+def test_invalid_data_raises_the_same_error_cold_and_warm(counted_setups, case, error,
+                                                         warm):
+    """Each invalid input raises its class on a cache that is empty (cold)
+    or holds a valid pair (warm), again when the same read-only arrays meet
+    the set-up they left behind, and on writeable copies; an infeasible
+    start is reported before a Hessian that is not positive definite."""
+    n = 3
+    H, A = np.diag([2.0, 3.0, 4.0]) + 0.25, np.vstack([np.eye(n), -np.eye(n)])
+    g, b, x0 = np.ones(n), np.ones(2 * n), None
+    if warm:
+        solve_qp(*read_only(H), g, *read_only(A), b)
+        del counted_setups[:]
+    if case == "nan-H":
+        H[0, 2] = H[2, 0] = math.nan
+    elif case == "nan-A":
+        A[4, 1] = math.nan
+    elif case == "zero-diagonal":
+        H[1, 1] = 0.0
+    if "not-positive-definite" in case:
+        H = _not_pd(H)
+    if "infeasible" in case:
+        x0 = np.full(n, 2.0)
+    H_ro, A_ro = read_only(H, A)
+    messages = set()
+    for args in ((H_ro, g, A_ro, b, x0), (H_ro, g, A_ro, b, x0), (H, g, A, b, x0)):
+        with pytest.raises(error) as exc:
+            solve_qp(*args)
+        messages.add(str(exc.value))
+    assert len(messages) == 1
+    # the set-up of a finite H with a positive diagonal is kept, even when
+    # that H is not positive definite or the start is infeasible
+    kept = "nan" not in case and case != "zero-diagonal"
+    assert (qp._last_setup is not None and qp._last_setup[0] is H_ro) == kept
+    assert len(counted_setups) == (2 if kept else 3)
+    if kept and "not-positive-definite" not in case:
+        # the warm set-up still answers a valid call on the same arrays
+        assert outcome(solve_qp, H_ro, g, A_ro, b) == outcome(solve_qp, H, g, A, b)
