@@ -55,8 +55,8 @@ run report_failed -- report --traces sim_case2/trace_almpc.csv --out report_fail
 # qp_digest.txt, one line per recorded QP instance: its iterations, the
 # working set in the order the solver left it, and the exact bits of x and
 # of the multipliers lam.  Each instance is also solved twice on read-only
-# copies of H and A, which solve_qp may answer from the set-up it kept for
-# them; the script exits 1 if either answer differs from the line printed
+# copies of H and A, as solve_mpc hands the QP read-only arrays; the script
+# exits 1 if either answer differs from the line printed
 python3 -B - "$root/perfbench" > qp_digest.txt <<'PY'
 import sys
 sys.path.insert(0, sys.argv[1])

@@ -23,6 +23,12 @@ class ThetaBounds:
     def __post_init__(self):
         object.__setattr__(self, "lo", np.asarray(self.lo, float))
         object.__setattr__(self, "hi", np.asarray(self.hi, float))
+        if self.lo.shape != self.hi.shape:
+            raise ConfigError(f"bounds lo and hi differ in length: "
+                              f"{self.lo.shape} and {self.hi.shape}")
+        if not (np.isfinite(self.lo).all() and np.isfinite(self.hi).all()):
+            raise ConfigError(f"bounds must be finite, got lo {self.lo.tolist()}, "
+                              f"hi {self.hi.tolist()}")
         if not np.all(self.lo < self.hi):
             raise ConfigError("bounds must satisfy lo < hi componentwise")
 
@@ -168,6 +174,9 @@ def bo_loop(runner, bounds: ThetaBounds, m: int, N: int, seed: int,
     costs: list[float] = []
     if init_thetas is not None:
         init_arr = np.atleast_2d(np.asarray(init_thetas, float))
+        if init_arr.shape[1:] != (bounds.dim,):
+            raise ConfigError(f"warm-start points need {bounds.dim} components, "
+                              f"got an array of shape {init_arr.shape}")
         if len(init_arr) > m:
             raise ConfigError("more warm-start points than the initial budget")
         for t in init_arr:

@@ -11,6 +11,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
+from .csvout import write_csv
 from .equilibrium import R_EQ_MIN, dep_sweep, solve_dep, sweep_to_csv
 from .errors import DriftMpcError
 from .harness import (FREE_COMPONENTS, EpisodeTrace, Scenario, case_scenario,
@@ -85,9 +86,8 @@ def _cmd_tune(args) -> int:
     result = tune(scenario, init=args.init, budget=args.budget, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     result.history_csv(os.path.join(args.out, f"history_{scenario.mode}.csv"))
-    np.savetxt(os.path.join(args.out, f"theta_star_{scenario.mode}.csv"),
-               result.theta_star[None, :], delimiter=",", fmt="%.12g",
-               header="delta_eq,w_r,w_e", comments="")
+    write_csv(os.path.join(args.out, f"theta_star_{scenario.mode}.csv"),
+              ["delta_eq", "w_r", "w_e"], [result.theta_star])
     t = result.theta_star
     print(f"best cost {result.bo.best_cost:.6g} at "
           f"theta = ({t[0]:.4f}, {t[1]:.4f}, {t[2]:.4f})")

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import LinAlgError
 
+from .csvout import write_csv
 from .errors import (ConfigError, DegenerateSpeedError, FrictionCircleError,
                      GripBranchError, NoConvergenceError)
 from .qp import _lu_solve
@@ -193,5 +194,4 @@ def sweep_to_csv(cells: list[SweepCell], path) -> None:
             if c.eq is not None
             else (c.delta_eq, c.R_eq, math.nan, math.nan, math.nan, math.nan, 0)
             for c in cells]
-    np.savetxt(path, rows, fmt="%.12g", delimiter=",",
-               header="delta,R,V,beta,r,Fxr,converged", comments="")
+    write_csv(path, ["delta", "R", "V", "beta", "r", "Fxr", "converged"], rows)

@@ -16,6 +16,7 @@ import numpy as np
 
 from .bo import (BoResult, CostConfig, ThetaBounds, bo_loop, episode_cost,
                  failed_episode_cost)
+from .csvout import write_csv
 from .equilibrium import R_EQ_MAX, solve_dep
 from .errors import (ConfigError, DriftMpcError, GripBranchError,
                      NoConvergenceError, OffPathError)
@@ -58,6 +59,8 @@ class Scenario:
     def __post_init__(self):
         if self.mode not in FREE_COMPONENTS:
             raise ConfigError(f"mode must be one of {tuple(FREE_COMPONENTS)}")
+        if not math.isfinite(self.T):
+            raise ConfigError(f"T must be finite, got {self.T!r}")
         n = self.T / self.mpc.dT
         if abs(n - round(n)) > 1e-9 or round(n) < 2:
             raise ConfigError("T must be an integral multiple of dT (>= 2 steps)")
@@ -83,9 +86,9 @@ class EpisodeTrace:
         """One row per step; a failed trace ends with a FAILED_PREFIX line
         holding the reason, which CSV readers skip as a comment."""
         reason = " ".join(self.failure_reason.splitlines())
-        np.savetxt(path, np.column_stack([self.columns[c] for c in TRACE_COLUMNS]),
-                   fmt="%.12g", delimiter=",", header=",".join(TRACE_COLUMNS),
-                   footer=FAILED_PREFIX + reason if self.failed else "", comments="")
+        write_csv(path, TRACE_COLUMNS,
+                  np.column_stack([self.columns[c] for c in TRACE_COLUMNS]),
+                  footer=FAILED_PREFIX + reason if self.failed else "")
 
     @staticmethod
     def from_csv(path) -> "EpisodeTrace":
@@ -210,7 +213,7 @@ def run_episode(scenario: Scenario, theta=None,
     eq = eq0
     # the controller model depends on the equilibrium alone: relinearize
     # only when the equilibrium moves, and hand solve_mpc the same model
-    # object meanwhile, which also keeps its condensed horizon
+    # object meanwhile, which also keeps its condensed horizon and QP set-up
     model = model_eq = None
 
     rows = []
@@ -306,10 +309,9 @@ class TuneResult:
 
     def history_csv(self, path) -> None:
         n = len(self.bo.costs)
-        np.savetxt(path, np.column_stack([np.arange(n), self.history_thetas,
-                                          self.bo.costs, self.bo.best_so_far]),
-                   fmt="%.12g", delimiter=",", comments="",
-                   header="iteration,delta_eq,w_r,w_e,cost,best_so_far")
+        write_csv(path, ["iteration", "delta_eq", "w_r", "w_e", "cost", "best_so_far"],
+                  np.column_stack([np.arange(n), self.history_thetas,
+                                   self.bo.costs, self.bo.best_so_far]))
 
 
 def tune(scenario: Scenario, init: int = 20, budget: int = 320,
@@ -373,10 +375,7 @@ def report(traces: list[EpisodeTrace], labels: list[str],
     table = "\n".join(lines)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        np.savetxt(os.path.join(out_dir, "metrics.csv"),
-                   np.array(rows, object).reshape(-1, len(header)),
-                   fmt=["%s"] + ["%.12g"] * (len(header) - 1), delimiter=",",
-                   header=",".join(header), comments="")
+        write_csv(os.path.join(out_dir, "metrics.csv"), header, rows)
     return table, reports
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from .equilibrium import DriftEquilibrium
 from .errors import (ConfigError, FrictionCircleError, InfeasibleQpError,
                      UncertifiedQpError)
-from .qp import KKT_TOL, solve_qp
+from .qp import KKT_TOL, _Setup, _setup, solve_qp
 from .vehicle import ControlInput, ControlLimits, VehicleParams, dynamics
 
 
@@ -129,16 +129,34 @@ class MpcSolution:
     n_active: int = 0
 
 
-@lru_cache(maxsize=64)
-def _lag_index(n_p: int, n_c: int) -> np.ndarray:
-    """Flat index into the stacked (n_p + 1, 5, 2) blocks that gathers S:
-    block (k, j) of S is stacked block max(k + 1 - j, 0), so
-    S[5k + i, 2j + l] = blocks[max(k + 1 - j, 0), i, l].  Read-only."""
+class _Stacking(NamedTuple):
+    """The parts of the condensed QP fixed by the MpcConfig alone."""
+    lag: np.ndarray     # flat index that gathers S from the stacked blocks
+    q_diag: np.ndarray  # the state-input weights stacked over N_p
+    R_bar: np.ndarray   # the diagonal increment weight matrix over N_c
+    A: np.ndarray       # rate rows, then upper and lower prefix-sum rows
+
+
+@lru_cache(maxsize=16)
+def _stacking(cfg: MpcConfig) -> _Stacking:
+    """Block (k, j) of S is stacked block max(k + 1 - j, 0) of the
+    (N_p + 1, 5, 2) blocks, so S[5k + i, 2j + l] = blocks[max(k + 1 - j, 0),
+    i, l].  Read-only."""
+    n_p, n_c = cfg.N_p, cfg.N_c
     lag = np.maximum(np.arange(1, n_p + 1)[:, None] - np.arange(n_c)[None, :], 0)
     idx = (10 * lag[:, None, :, None] + 2 * np.arange(5)[:, None, None]
            + np.arange(2)).reshape(5 * n_p, 2 * n_c)
-    idx.flags.writeable = False
-    return idx
+    q_diag = np.tile(np.asarray(cfg.Q, dtype=float), n_p)
+    R_bar = np.diag(np.tile(np.asarray(cfg.R, dtype=float), n_c))
+    nv = 2 * n_c
+    # rate bounds: +-w_j <= rate, stacked per step
+    A_rate = np.vstack([np.eye(nv), -np.eye(nv)])
+    # input bounds: u_prev + cumulative sum of increments within [lo, hi]
+    cum = np.kron(np.tril(np.ones((n_c, n_c))), np.eye(2))
+    out = _Stacking(idx, q_diag, R_bar, np.vstack([A_rate, cum, -cum]))
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
 class _Horizon(NamedTuple):
@@ -148,17 +166,7 @@ class _Horizon(NamedTuple):
     S: np.ndarray       # (5 N_p, 2 N_c): block (k, j) = A_hat^(k-j) B_hat
     SQ: np.ndarray      # S scaled row-wise by q_diag
     H: np.ndarray       # symmetrized QP Hessian
-    q_diag: np.ndarray  # the state-input weights stacked over N_p
-
-
-@lru_cache(maxsize=16)
-def _weights(cfg: MpcConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The state-input weights stacked over N_p and the diagonal increment
-    weight matrix over N_c.  Read-only."""
-    q_diag = np.tile(np.asarray(cfg.Q, dtype=float), cfg.N_p)
-    R_bar = np.diag(np.tile(np.asarray(cfg.R, dtype=float), cfg.N_c))
-    q_diag.flags.writeable = R_bar.flags.writeable = False
-    return q_diag, R_bar
+    setup: _Setup       # solve_qp's _setup(H, A), A the constraint rows
 
 
 @lru_cache(maxsize=1)
@@ -166,7 +174,8 @@ def _horizon(model: AugmentedModel, cfg: MpcConfig) -> _Horizon:
     """Stack the horizon of a model: deviation_k = S w + c_k with w the
     increments; S is block Toeplitz.  One entry, keyed on the model object:
     run_episode hands solve_mpc the same model for as long as the drift
-    equilibrium holds still.  Read-only."""
+    equilibrium holds still, so the QP is also set up once per equilibrium.
+    Read-only."""
     n_p, n_c = cfg.N_p, cfg.N_c
     A_hat, D_hat = model.A_hat, model.D_hat
     # each product writes into its slot: the gemm/gemv calls of
@@ -185,13 +194,13 @@ def _horizon(model: AugmentedModel, cfg: MpcConfig) -> _Horizon:
     blocks = np.empty((n_p + 1, 5, 2))
     blocks[0] = 0.0
     np.matmul(powers[:n_p], model.B_hat, out=blocks[1:])
-    S = blocks.ravel().take(_lag_index(n_p, n_c))
-    q_diag, R_bar = _weights(cfg)
-    SQ = S * q_diag[:, None]
-    H = 2.0 * (S.T.dot(SQ) + R_bar)
+    st = _stacking(cfg)
+    S = blocks.ravel().take(st.lag)
+    SQ = S * st.q_diag[:, None]
+    H = 2.0 * (S.T.dot(SQ) + st.R_bar)
     H = 0.5 * (H + H.T)
-    out = _Horizon(powers, acc, S, SQ, H, q_diag)
-    for arr in out:
+    out = _Horizon(powers, acc, S, SQ, H, _setup(H, st.A))
+    for arr in (*out[:-1], *out.setup[:-1]):  # setup ends with an int
         arr.flags.writeable = False
     return out
 
@@ -211,10 +220,8 @@ def _condense(model: AugmentedModel, xi_now: np.ndarray, xi_eq: np.ndarray,
     return hz.S, _offsets(hz, xi_now, xi_eq)
 
 
-@dataclass(frozen=True)
-class _Constraints:
+class _Constraints(NamedTuple):
     """The parts of the MPC QP fixed by (MpcConfig, ControlLimits)."""
-    A: np.ndarray       # rate rows, then upper and lower prefix-sum rows
     b_rate: np.ndarray  # right-hand side of the rate rows
     lo: np.ndarray      # (delta_min, F_min)
     hi: np.ndarray      # (delta_max, F_max)
@@ -222,19 +229,12 @@ class _Constraints:
 
 @lru_cache(maxsize=16)
 def _constraints(cfg: MpcConfig, limits: ControlLimits) -> _Constraints:
-    n_c = cfg.N_c
-    nv = 2 * n_c
-    # rate bounds: +-w_j <= rate, stacked per step
-    A_rate = np.vstack([np.eye(nv), -np.eye(nv)])
-    # input bounds: u_prev + cumulative sum of increments within [lo, hi]
-    cum = np.kron(np.tril(np.ones((n_c, n_c))), np.eye(2))
-    A = np.vstack([A_rate, cum, -cum])
+    """Read-only."""
     rate = np.array([limits.d_delta_lim, limits.d_F_lim])
-    out = _Constraints(
-        A=A, b_rate=np.tile(rate, 2 * n_c),
-        lo=np.array([limits.delta_min, limits.F_min]),
-        hi=np.array([limits.delta_max, limits.F_max]))
-    for arr in vars(out).values():
+    out = _Constraints(np.tile(rate, 2 * cfg.N_c),
+                       np.array([limits.delta_min, limits.F_min]),
+                       np.array([limits.delta_max, limits.F_max]))
+    for arr in out:
         arr.flags.writeable = False
     return out
 
@@ -256,13 +256,13 @@ def solve_mpc(xi_now: np.ndarray, dep: DriftEquilibrium, model: AugmentedModel,
     if (u_prev < lo - 1e-9).any() or (u_prev > hi + 1e-9).any():
         raise InfeasibleQpError("previous input outside the input set")
 
-    hz = _horizon(model, cfg)
+    hz, st = _horizon(model, cfg), _stacking(cfg)
     c = _offsets(hz, xi_now, dep.as_array())
     H = hz.H
     g = 2.0 * hz.SQ.T.dot(c)
-    const = float(c.dot(hz.q_diag * c))
+    const = float(c.dot(st.q_diag * c))
 
-    A = con.A
+    A = st.A
     n_rate = con.b_rate.size
     b = np.empty(A.shape[0])
     b[:n_rate] = con.b_rate
@@ -271,7 +271,7 @@ def solve_mpc(xi_now: np.ndarray, dep: DriftEquilibrium, model: AugmentedModel,
     bounds[0] = hi - u_prev
     bounds[1] = u_prev - lo
 
-    res = solve_qp(H, g, A, b)
+    res = solve_qp(H, g, A, b, setup=hz.setup)
     kkt = res.kkt_residuals(H, g, A, b)
     # no scale is below 1, so only an absolute residual above KKT_TOL can fail
     if not all(v <= KKT_TOL for v in kkt.values()) and \

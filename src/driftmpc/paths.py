@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvout import write_csv
 from .errors import ConfigError, OffPathError
 from .vehicle import Pose, wrap_angle
 
@@ -122,8 +123,8 @@ class PathTable:
         return len(self.s)
 
     def to_csv(self, path) -> None:
-        np.savetxt(path, np.column_stack([self.s, self.x, self.y, self.phi, self.kappa]),
-                   fmt="%.12g", delimiter=",", header="s,X,Y,phi_r,kappa", comments="")
+        write_csv(path, ["s", "X", "Y", "phi_r", "kappa"],
+                  np.column_stack([self.s, self.x, self.y, self.phi, self.kappa]))
 
 
 @dataclass(frozen=True)

@@ -112,8 +112,7 @@ def _polish(H, g, A, b, working: list[int], n: int, chol):
 
 class _Setup(NamedTuple):
     """What solve_qp derives from H and A alone, in the equilibrated
-    variables x = D z with D = diag(H_ii^(-1/2)).  Its arrays are made
-    read-only when it is kept for later calls."""
+    variables x = D z with D = diag(H_ii^(-1/2))."""
     d: np.ndarray     # the diagonal of D
     Hs: np.ndarray    # D H D
     As: np.ndarray    # A D
@@ -137,45 +136,15 @@ def _setup(H: np.ndarray, A: np.ndarray) -> _Setup:
     return _Setup(d, Hs, A * d[None, :], chol, minor)
 
 
-# (H, A, _setup(H, A)) of the last pair of read-only arrays solve_qp was
-# given, keyed on their identity: solve_mpc hands it the same Hessian and
-# constraint matrix for as long as the drift equilibrium holds still (see
-# mpc._horizon).  A writeable array, or a read-only view of one, can change
-# between calls, so its set-up is never kept; a read-only array is taken
-# to stay as it is.  The entry is read and replaced as one tuple, so a
-# thread never pairs one solve's arrays with another's set-up.
-_last_setup = None
-
-
-def _read_only(a: np.ndarray) -> bool:
-    """a and the array whose memory it views, if any, are read-only."""
-    base = a.base
-    return not a.flags.writeable and (
-        base is None or isinstance(base, np.ndarray) and not base.flags.writeable)
-
-
-def _setup_of(H: np.ndarray, A: np.ndarray) -> _Setup:
-    global _last_setup
-    last = _last_setup
-    if last is not None and last[0] is H and last[1] is A:
-        return last[2]
-    setup = _setup(H, A)
-    if _read_only(H) and _read_only(A):
-        for arr in setup[:4]:
-            arr.flags.writeable = False
-        _last_setup = (H, A, setup)
-    return setup
-
-
 def solve_qp(H: np.ndarray, g: np.ndarray, A: np.ndarray, b: np.ndarray,
-             x0: np.ndarray | None = None) -> QpResult:
+             x0: np.ndarray | None = None, setup: _Setup | None = None) -> QpResult:
     """Minimize 0.5 x'Hx + g'x subject to Ax <= b, starting from x0 (zero
     by default), which must be feasible.  H must be n x n, g and x0 of
     length n, A m x n (or None for m = 0) and b of length m.  H, g, A and
     x0 must be finite; b may hold +inf for an absent bound but no NaN.  H
-    must be positive definite.  The checks, equilibration and factorization
-    of H and A are kept from one call to the next while both are the same
-    read-only arrays."""
+    must be positive definite.  setup, when given, is _setup(H, A) of these
+    H and A, which a caller solving many QPs on one (H, A) computes once;
+    solve_qp computes it otherwise."""
     n = H.shape[0] if H.ndim else 0
     if A is None:
         A, b = np.zeros((0, n)), np.zeros(0)
@@ -188,7 +157,7 @@ def solve_qp(H: np.ndarray, g: np.ndarray, A: np.ndarray, b: np.ndarray,
     if not (np.isfinite(g).all() and not np.isnan(b).any()
             and (x0 is None or np.isfinite(x0).all())):
         raise ConfigError(_NOT_FINITE)
-    d, Hs, As, chol, minor = _setup_of(H, A)
+    d, Hs, As, chol, minor = _setup(H, A) if setup is None else setup
     gs = g * d
 
     z = np.zeros(n) if x0 is None else np.asarray(x0, float) / d

@@ -12,7 +12,8 @@ import pytest
 import driftmpc
 from driftmpc import harness, mpc
 from driftmpc.bo import ThetaBounds
-from driftmpc.harness import case_scenario
+from driftmpc.harness import case_scenario, run_episode
+from driftmpc.qp import solve_qp
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -52,3 +53,32 @@ def test_clock_and_recorder_targets_callable():
     # perfbench's StepClock wraps harness.step, its QP Recorder mpc.solve_qp
     assert callable(harness.step) and callable(mpc.solve_qp)
     assert np.isfinite(mpc.solve_qp(np.eye(1), np.ones(1), np.eye(1), np.ones(1)).x).all()
+
+
+def test_recorder_passes_the_setup_through_and_cold_solves_match(monkeypatch):
+    """perfbench's QP Recorder forwards the set-up solve_mpc hands the QP
+    and captures every QP of an episode.  perfbench/record.py stores the
+    captured (H, g, A, b) and the traced replay solves them cold, without
+    a set-up: that must give the live answers bit for bit."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    qpset = importlib.import_module("qpset")
+    live = []
+
+    def spy(H, g, A, b, *args, **kwargs):
+        res = solve_qp(H, g, A, b, *args, **kwargs)
+        live.append((args, sorted(kwargs), res))
+        return res
+
+    monkeypatch.setattr(mpc, "solve_qp", spy)
+    recorder = qpset.Recorder("test")
+    try:
+        trace, _ = run_episode(case_scenario(case=1, mode="ppt", T=2.0))
+    finally:
+        recorder.close()
+    assert mpc.solve_qp is spy
+    assert not trace.failed and len(recorder.rows) == len(live) == len(trace) == 20
+    for (_, H, g, b, _), (args, keys, res) in zip(recorder.rows, live):
+        assert args == () and keys == ["setup"]
+        cold = solve_qp(H, g, recorder.A, b)
+        assert (cold.x.tobytes(), cold.lam.tobytes(), cold.iterations, cold.active) == \
+            (res.x.tobytes(), res.lam.tobytes(), res.iterations, res.active)

@@ -191,6 +191,19 @@ def test_malformed_scenario_section_reported_without_traceback(tmp_path, capsys,
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("T", [math.inf, math.nan])
+def test_non_finite_scenario_duration_reported_without_traceback(tmp_path, capsys, T):
+    data = scenario_to_dict(case_scenario(case=1, mode="ppt", T=1.0))
+    data["T"] = T
+    sc_file = tmp_path / "scenario.json"
+    sc_file.write_text(json.dumps(data))  # Infinity and NaN as JSON reads them
+    out_dir = tmp_path / "o"
+    assert main(["simulate", "--scenario", str(sc_file), "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("driftmpc: ConfigError: T must be finite")
+    assert "Traceback" not in err and not out_dir.exists()
+
+
 def test_mode_choices_follow_the_mode_table():
     subcommands = next(a for a in build_parser()._actions if a.dest == "command")
 

@@ -422,6 +422,28 @@ def test_theta_bounds_validation():
         ThetaBounds(lo=np.array([0.0, 0.0, 0.0]), hi=np.array([1.0, 0.0, 1.0]))
 
 
+@pytest.mark.parametrize("side", ["lo", "hi"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_theta_bounds_rejected(side, bad):
+    box = {"lo": [-0.7, 0.0, -5.0], "hi": [0.4, 2.0, 5.0]}
+    box[side][1] = bad
+    with pytest.raises(ConfigError, match="finite"):
+        ThetaBounds(**box)
+
+
+def test_theta_bounds_of_different_lengths_rejected():
+    with pytest.raises(ConfigError, match="length"):
+        ThetaBounds(lo=[-0.7, 0.0], hi=[0.4, 2.0, 5.0])
+
+
+@pytest.mark.parametrize("init", [[[-0.5, 1.0]], [[-0.5, 1.0, 0.0, 2.0]], [-0.5, 1.0]])
+def test_warm_start_of_the_wrong_width_rejected(init):
+    calls = []
+    with pytest.raises(ConfigError, match="3 components"):
+        bo_loop(calls.append, BOUNDS, m=4, N=5, seed=0, init_thetas=init)
+    assert calls == []
+
+
 def test_cost_config_validation():
     with pytest.raises(ConfigError):
         CostConfig(lam=-1.0)

@@ -33,8 +33,8 @@ def hold_scenario():
 
 class TestRunEpisode:
     def test_uncertified_qp_answer_fails_the_episode(self, monkeypatch):
-        def perturbed(H, g, A, b):
-            res = solve_qp(H, g, A, b)
+        def perturbed(H, g, A, b, **kwargs):
+            res = solve_qp(H, g, A, b, **kwargs)
             res.x = res.x + 1e-3
             return res
 
@@ -367,6 +367,15 @@ class TestScenarioIo:
         mutate(data)
         with pytest.raises(ConfigError):
             scenario_from_dict(data)
+
+    @pytest.mark.parametrize("T", [math.inf, math.nan])
+    def test_non_finite_duration_rejected(self, T):
+        data = json.loads(json.dumps(scenario_to_dict(case_scenario(case=1))))
+        data["T"] = T
+        with pytest.raises(ConfigError, match="^T must be finite"):
+            scenario_from_dict(data)
+        with pytest.raises(ConfigError, match="^T must be finite"):
+            case_scenario(case=1, T=T)
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ConfigError):

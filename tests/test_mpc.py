@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from dataclasses import asdict, replace
 
@@ -7,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftmpc import mpc
+from driftmpc import harness, mpc, qp
 from driftmpc.equilibrium import solve_dep
 from driftmpc.errors import (ConfigError, DriftMpcError, FrictionCircleError,
                              InfeasibleQpError, UncertifiedQpError)
+from driftmpc.harness import case_scenario, run_episode
 from driftmpc.mpc import (AugmentedModel, MpcConfig, _condense, _constraints,
                           augment, linearize, solve_mpc)
 from driftmpc.qp import solve_qp
@@ -430,8 +432,8 @@ class TestSolveMpc:
 
     def test_uncertified_qp_answer_is_not_applied(self, dep, aug, mpc_cfg, limits,
                                                   monkeypatch):
-        def perturbed(H, g, A, b):
-            res = solve_qp(H, g, A, b)
+        def perturbed(H, g, A, b, **kwargs):
+            res = solve_qp(H, g, A, b, **kwargs)
             res.x = res.x + 1e-3
             return res
 
@@ -502,20 +504,21 @@ def test_condense_per_block_on_drift_model(aug, dep, n_p, n_c):
 class TestConstraintCache:
     def test_read_only(self, mpc_cfg, limits):
         con = _constraints(mpc_cfg, limits)
-        for arr in (con.A, con.b_rate, con.lo, con.hi, *mpc._weights(mpc_cfg)):
+        stacking = mpc._stacking(mpc_cfg)
+        for arr in (*con, *stacking):
             assert not arr.flags.writeable
         with pytest.raises(ValueError):
-            con.A[0, 0] = 2.0
+            stacking.A[0, 0] = 2.0
 
     @pytest.mark.parametrize("n_c", [1, 7, 19])
     def test_matches_per_step_construction(self, limits, n_c):
         cfg = MpcConfig(N_p=20, N_c=n_c)
         u_prev = np.array([0.3, 2500.0])
         A_ref, b_ref = constraints_per_step(cfg, limits, u_prev)
-        con = _constraints(cfg, limits)
-        assert np.array_equal(con.A, A_ref)
+        con, stacking = _constraints(cfg, limits), mpc._stacking(cfg)
+        assert np.array_equal(stacking.A, A_ref)
         assert np.array_equal(con.b_rate, b_ref[:4 * n_c])
-        q_diag, R_bar = mpc._weights(cfg)
+        q_diag, R_bar = stacking.q_diag, stacking.R_bar
         assert np.array_equal(q_diag, np.tile(np.asarray(cfg.Q, float), cfg.N_p))
         assert np.array_equal(R_bar, np.diag(np.tile(np.asarray(cfg.R, float), n_c)))
 
@@ -527,9 +530,9 @@ class TestConstraintCache:
     def test_rate_limits_reach_b(self, dep, aug, mpc_cfg, limits, monkeypatch):
         seen = []
 
-        def capture(H, g, A, b, *args):
+        def capture(H, g, A, b, *args, **kwargs):
             seen.append((A, b))
-            return solve_qp(H, g, A, b, *args)
+            return solve_qp(H, g, A, b, *args, **kwargs)
 
         monkeypatch.setattr(mpc, "solve_qp", capture)
         xi = dep.as_array()
@@ -555,10 +558,12 @@ class TestConstraintCache:
         assert (a.qp_iterations, a.n_active) == (b.qp_iterations, b.n_active)
 
     def test_non_finite_model_is_a_classified_failure(self, dep, aug, mpc_cfg, limits):
-        bad = AugmentedModel(A_hat=aug.A_hat, B_hat=aug.B_hat,
-                             D_hat=np.full(5, math.nan))
-        with pytest.raises(DriftMpcError):
-            solve_mpc(dep.as_array(), dep, bad, mpc_cfg, limits)
+        # a NaN in A_hat or B_hat reaches H, which the QP's set-up in
+        # _horizon checks; one in D_hat reaches only g, which solve_qp checks
+        for name in ("A_hat", "B_hat", "D_hat"):
+            arrays = {**vars(aug), name: np.full_like(getattr(aug, name), math.nan)}
+            with pytest.raises(ConfigError, match=re.escape(qp._NOT_FINITE)):
+                solve_mpc(dep.as_array(), dep, AugmentedModel(**arrays), mpc_cfg, limits)
 
 
 class TestMpcConfig:
@@ -631,9 +636,9 @@ class TestSameBits:
     def test_solve_mpc_b(self, dep, aug, limits, monkeypatch):
         seen = []
 
-        def capture(H, g, A, b, *args):
+        def capture(H, g, A, b, *args, **kwargs):
             seen.append(b)
-            return solve_qp(H, g, A, b, *args)
+            return solve_qp(H, g, A, b, *args, **kwargs)
 
         monkeypatch.setattr(mpc, "solve_qp", capture)
         rng = np.random.default_rng(7)
@@ -651,8 +656,9 @@ class TestSameBits:
 
 
 def test_lag_index_is_cached_read_only(mpc_cfg):
-    idx = mpc._lag_index(mpc_cfg.N_p, mpc_cfg.N_c)
-    assert idx is mpc._lag_index(mpc_cfg.N_p, mpc_cfg.N_c)
+    # cached with the weights and the constraint rows, per MpcConfig value
+    idx = mpc._stacking(mpc_cfg).lag
+    assert idx is mpc._stacking(MpcConfig()).lag
     assert not idx.flags.writeable
 
 
@@ -678,9 +684,9 @@ class TestHorizonReuse:
                                                           monkeypatch):
         seen = []
 
-        def capture(H, g, A, b, *args):
+        def capture(H, g, A, b, *args, **kwargs):
             seen.append((H, g))
-            return solve_qp(H, g, A, b, *args)
+            return solve_qp(H, g, A, b, *args, **kwargs)
 
         monkeypatch.setattr(mpc, "solve_qp", capture)
         kept = augment(linearize(dep, params, mpc_cfg.dT))
@@ -710,7 +716,7 @@ class TestHorizonReuse:
         assert mpc._horizon(aug, mpc_cfg) is first
         other = mpc._horizon(twin, mpc_cfg)
         assert other is not first
-        assert bits(*other) == bits(*first)
+        assert bits(*other[:-1], *other.setup[:-1]) == bits(*first[:-1], *first.setup[:-1])
         assert mpc._horizon(aug, mpc_cfg) is not first  # one entry only
 
     def test_model_and_horizon_arrays_are_read_only(self, dep, params, mpc_cfg):
@@ -718,11 +724,30 @@ class TestHorizonReuse:
         hz = mpc._horizon(model, mpc_cfg)
         S, _ = _condense(model, dep.as_array(), dep.as_array(), mpc_cfg)
         assert S is hz.S
-        for arr in (*vars(model).values(), *hz):
+        for arr in (*vars(model).values(), *hz[:-1], *hz.setup[:-1]):
             with pytest.raises(ValueError):
                 arr.flat[0] = 1.0
         with pytest.raises(ValueError):
             hz.H[0, 0] = 1.0
+
+    def test_one_setup_per_linearization(self, monkeypatch):
+        """The stock case-1 ppt episode linearizes 20 times in 184 steps;
+        its QP is set up once per linearization, not once per step."""
+        counts = {"linearize": 0, "setup": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(harness, "linearize", counted("linearize", harness.linearize))
+        setup = counted("setup", qp._setup)
+        monkeypatch.setattr(qp, "_setup", setup)   # solve_qp's own
+        monkeypatch.setattr(mpc, "_setup", setup)  # _horizon's
+        trace, _ = run_episode(case_scenario(case=1, mode="ppt"))
+        assert not trace.failed and len(trace) == 184
+        assert counts == {"linearize": 20, "setup": 20}
 
 
 def stable_model(rng):

@@ -26,7 +26,8 @@ from driftmpc.equilibrium import solve_dep
 from driftmpc.errors import (ConfigError, DriftMpcError, InfeasibleQpError,
                              QpIterationLimitError)
 from driftmpc.harness import case_scenario, run_episode
-from driftmpc.mpc import MpcConfig, _constraints, augment, linearize, solve_mpc
+from driftmpc.mpc import (MpcConfig, _constraints, _stacking, augment, linearize,
+                          solve_mpc)
 from driftmpc.qp import QpResult, solve_qp
 from driftmpc.vehicle import default_limits, default_vehicle_params
 
@@ -161,9 +162,9 @@ def test_tail_episode_qps_match_oracle(monkeypatch):
     tuning spends its time in."""
     captured = []
 
-    def capture(H, g, A, b):
+    def capture(H, g, A, b, **kwargs):
         captured.append((H, g, A, b))
-        return solve_qp(H, g, A, b)
+        return solve_qp(H, g, A, b, **kwargs)
 
     monkeypatch.setattr(mpc, "solve_qp", capture)
     trace, _ = run_episode(case_scenario(1, "almpc"), (-0.700, 0.197, -3.928))
@@ -250,7 +251,8 @@ def mpc_shaped_qps(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_c = draw(st.integers(1, 6))
     limits = default_limits()
-    con = _constraints(MpcConfig(N_p=n_c, N_c=n_c), limits)
+    cfg = MpcConfig(N_p=n_c, N_c=n_c)
+    con = _constraints(cfg, limits)
     where = draw(st.tuples(*[st.sampled_from(["lo", "hi", "mid"])] * 2))
     u_prev = np.array([{"lo": lo, "hi": hi, "mid": 0.5 * (lo + hi)}[w]
                        for w, lo, hi in zip(where, con.lo, con.hi)])
@@ -260,7 +262,7 @@ def mpc_shaped_qps(draw):
     g = rng.normal(size=nv) * 10.0 ** rng.uniform(0.0, 4.0)
     b = np.concatenate([con.b_rate, np.tile(con.hi - u_prev, n_c),
                         np.tile(u_prev - con.lo, n_c)])
-    return H, g, con.A, b
+    return H, g, _stacking(cfg).A, b
 
 
 @settings(max_examples=300, deadline=None)
@@ -429,9 +431,27 @@ def test_polish_with_a_duplicated_working_row_takes_lstsq(monkeypatch):
     assert np.allclose(x, [1.0, 1.0, 0.0]) and np.allclose(lam, [1.0, 1.0])
 
 
-# solve_qp keeps the checks, equilibration and Cholesky factor of the last
-# read-only (H, A) pair it was given, keyed on the identity of both arrays.
-# Nothing it returns or raises may depend on whether that set-up was kept.
+# solve_mpc hands solve_qp the set-up of (H, A) it computed once per drift
+# equilibrium; other callers let solve_qp compute it.  Nothing solve_qp
+# returns or raises may depend on which, and nothing may carry over from
+# one call to the next.
+
+def with_setup(H, g, A, b, x0=None):
+    """solve_qp handed the set-up it would compute itself."""
+    return solve_qp(H, g, A, b, x0, setup=qp._setup(H, A))
+
+
+def test_given_setup_matches_a_computed_one(recorded):
+    A = recorded["A"]
+    for k, (H, g, b) in enumerate(zip(recorded["H"], recorded["g"], recorded["b"])):
+        assert outcome(with_setup, H, g, A, b) == outcome(solve_qp, H, g, A, b), k
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(degenerate_qps(), mpc_shaped_qps()))
+def test_given_setup_matches_a_computed_one_on_random_instances(instance):
+    assert outcome(with_setup, *instance) == outcome(solve_qp, *instance)
+
 
 def read_only(*arrays):
     out = []
@@ -442,63 +462,8 @@ def read_only(*arrays):
     return out
 
 
-@pytest.fixture
-def counted_setups(monkeypatch):
-    """A cold set-up cache and a list that receives the H of every set-up
-    solve_qp computes."""
-    monkeypatch.setattr(qp, "_last_setup", None)
-    calls = []
-    setup = qp._setup
-
-    def spy(H, A):
-        calls.append(H)
-        return setup(H, A)
-
-    monkeypatch.setattr(qp, "_setup", spy)
-    return calls
-
-
-def test_setup_cache_hit_matches_a_writeable_copy(recorded, counted_setups):
-    A = read_only(recorded["A"])[0]
-    for k, (H, g, b) in enumerate(zip(recorded["H"], recorded["g"], recorded["b"])):
-        want = outcome(solve_qp, H.copy(), g, A.copy(), b)
-        H_ro = read_only(H)[0]
-        del counted_setups[:]
-        assert outcome(solve_qp, H_ro, g, A, b) == want, k
-        assert outcome(solve_qp, H_ro, g, A, b) == want, k
-        # one set-up, for the first read-only solve: the second hit the cache
-        assert len(counted_setups) == 1 and counted_setups[0] is H_ro, k
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.one_of(degenerate_qps(), mpc_shaped_qps()))
-def test_setup_cache_hit_matches_a_writeable_copy_on_random_instances(instance):
-    H, g, A, b = instance
-    want = outcome(solve_qp, H.copy(), g, A.copy(), b)
-    H_ro, A_ro = read_only(H, A)
-    assert outcome(solve_qp, H_ro, g, A_ro, b) == want
-    assert outcome(solve_qp, H_ro, g, A_ro, b) == want
-    H_kept, A_kept, setup = qp._last_setup
-    assert H_kept is H_ro and A_kept is A_ro
-    assert not any(arr.flags.writeable for arr in setup[:4])
-
-
-def test_twin_with_equal_values_recomputes(counted_setups):
-    n = 4
-    H, A = read_only(np.diag([2.0, 3.0, 4.0, 5.0]) + 0.5, np.vstack([np.eye(n), -np.eye(n)]))
-    twin, A_twin, A_scaled = read_only(H, A, 4.0 * A)
-    g, b = np.full(n, -4.0), np.ones(2 * n)
-    pairs = [(H, A), (H, A), (twin, A), (H, A), (H, A_twin), (H, A_scaled)]
-    answers = [outcome(solve_qp, M, g, C, b) for M, C in pairs]
-    assert answers[:5] == [outcome(solve_qp, H.copy(), g, A.copy(), b)] * 5
-    assert answers[5] == outcome(solve_qp, H.copy(), g, A_scaled.copy(), b) != answers[0]
-    # one set-up per change of either identity, none for the hit
-    assert len(counted_setups) == 7  # the last two for the writeable copies
-    assert [M is want for M, want in zip(counted_setups, (H, twin, H, H, H))] == [True] * 5
-
-
 @pytest.mark.parametrize("mutated", ["H", "A", "H through a read-only view"])
-def test_writeable_array_mutated_in_place_is_never_answered_stale(counted_setups, mutated):
+def test_writeable_array_mutated_in_place_is_never_answered_stale(mutated):
     """Between two solves the writeable one of (H, A), or the writeable
     array under a read-only view of H, changes in place while the other
     stays read-only; the second solve must see the new values."""
@@ -522,7 +487,6 @@ def test_writeable_array_mutated_in_place_is_never_answered_stale(counted_setups
         A[:n] *= 4.0
     fresh = outcome(solve_qp, H.copy(), g, A.copy(), b)
     assert outcome(solve_qp, H_given, g, A, b) == fresh != first
-    assert qp._last_setup is None and len(counted_setups) == 3
 
 
 def _not_pd(H):
@@ -531,23 +495,27 @@ def _not_pd(H):
     return H
 
 
+INVALID_MESSAGES = {
+    "nan-H": qp._NOT_FINITE, "nan-A": qp._NOT_FINITE,
+    "zero-diagonal": "Hessian diagonal must be strictly positive",
+    "not-positive-definite": "Hessian is not positive definite (leading minor 2)",
+    "infeasible-x0": "starting point violates the constraints",
+    "infeasible-x0-not-positive-definite": "starting point violates the constraints"}
+
+
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 @pytest.mark.parametrize("case, error", [
     ("nan-H", ConfigError), ("nan-A", ConfigError), ("zero-diagonal", ConfigError),
     ("not-positive-definite", ConfigError), ("infeasible-x0", InfeasibleQpError),
     ("infeasible-x0-not-positive-definite", InfeasibleQpError)])
-def test_invalid_data_raises_the_same_error_cold_and_warm(counted_setups, case, error,
-                                                         warm):
-    """Each invalid input raises its class on a cache that is empty (cold)
-    or holds a valid pair (warm), again when the same read-only arrays meet
-    the set-up they left behind, and on writeable copies; an infeasible
-    start is reported before a Hessian that is not positive definite."""
+def test_invalid_data_raises_the_same_error_cold_and_warm(case, error, warm):
+    """Each invalid input raises its class and message whether solve_qp
+    sets the QP up itself (cold) or is handed _setup(H, A) (warm; _setup
+    raises the errors of H and A it finds); an infeasible start is
+    reported before a Hessian that is not positive definite."""
     n = 3
     H, A = np.diag([2.0, 3.0, 4.0]) + 0.25, np.vstack([np.eye(n), -np.eye(n)])
     g, b, x0 = np.ones(n), np.ones(2 * n), None
-    if warm:
-        solve_qp(*read_only(H), g, *read_only(A), b)
-        del counted_setups[:]
     if case == "nan-H":
         H[0, 2] = H[2, 0] = math.nan
     elif case == "nan-A":
@@ -558,18 +526,6 @@ def test_invalid_data_raises_the_same_error_cold_and_warm(counted_setups, case, 
         H = _not_pd(H)
     if "infeasible" in case:
         x0 = np.full(n, 2.0)
-    H_ro, A_ro = read_only(H, A)
-    messages = set()
-    for args in ((H_ro, g, A_ro, b, x0), (H_ro, g, A_ro, b, x0), (H, g, A, b, x0)):
-        with pytest.raises(error) as exc:
-            solve_qp(*args)
-        messages.add(str(exc.value))
-    assert len(messages) == 1
-    # the set-up of a finite H with a positive diagonal is kept, even when
-    # that H is not positive definite or the start is infeasible
-    kept = "nan" not in case and case != "zero-diagonal"
-    assert (qp._last_setup is not None and qp._last_setup[0] is H_ro) == kept
-    assert len(counted_setups) == (2 if kept else 3)
-    if kept and "not-positive-definite" not in case:
-        # the warm set-up still answers a valid call on the same arrays
-        assert outcome(solve_qp, H_ro, g, A_ro, b) == outcome(solve_qp, H, g, A, b)
+    with pytest.raises(error) as exc:
+        (with_setup if warm else solve_qp)(H, g, A, b, x0)
+    assert str(exc.value) == INVALID_MESSAGES[case]
