@@ -96,8 +96,8 @@ PY
 # drift, grip and non-converging cells, plus one equilibrium moved onto the
 # rear friction cap so that linearize differences that column one-sided:
 # the exact bits of the solve_dep result and, at it, of linearize's A, B, d,
-# _condense's S, c and the H, g that solve_mpc hands the QP; or the class
-# of the exception the solve raised
+# condense's S, the free response c and the H, g that solve_mpc hands the
+# QP; or the class of the exception the solve raised
 python3 -B - > kernel_digest.txt <<'PY'
 import dataclasses
 
@@ -105,7 +105,7 @@ import numpy as np
 from driftmpc import mpc
 from driftmpc.equilibrium import solve_dep
 from driftmpc.errors import DriftMpcError
-from driftmpc.mpc import MpcConfig, _condense, augment, linearize, solve_mpc
+from driftmpc.mpc import MpcConfig, _offsets, augment, condense, linearize, solve_mpc
 from driftmpc.vehicle import default_limits, default_vehicle_params
 
 params = default_vehicle_params()
@@ -131,14 +131,14 @@ def hexes(*arrays):
 
 def line(name, eq):
     lin = linearize(eq, params, cfg.dT)
-    model = augment(lin)
+    hz = condense(augment(lin), cfg)
     xi_eq = eq.as_array()
-    S, c = _condense(model, xi_eq + offset, xi_eq, cfg)
+    c = _offsets(hz, xi_eq + offset, xi_eq)
     try:
-        solve_mpc(xi_eq + offset, eq, model, cfg, limits)
+        solve_mpc(xi_eq + offset, eq, hz, limits)
     except QpData as qp:
         H, g = qp.args
-    print(name, hexes(xi_eq, lin.A, lin.B, lin.d, S, c, H, g))
+    print(name, hexes(xi_eq, lin.A, lin.B, lin.d, hz.S, c, H, g))
 
 
 for delta in (-0.9, -0.52, -0.1, 0.2):

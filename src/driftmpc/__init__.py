@@ -11,7 +11,7 @@ from .harness import (EpisodeTrace, MetricsReport, Scenario, TuneResult,
                       case_scenario, metrics_from_trace, report, run_episode,
                       scenario_from_file, scenario_to_file, tune, tune_objective)
 from .mpc import (AugmentedModel, LinearModel, MpcConfig, MpcSolution, augment,
-                  linearize, solve_mpc)
+                  condense, linearize, solve_mpc)
 from .paths import ClothoidSpec, EightSpec, PathTable, TrackingErrors, project
 from .qp import QpResult, solve_qp
 from .tracking import AptParams, apt_radius, default_radius_grid, ppt_radius, steer_feedback

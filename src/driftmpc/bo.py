@@ -53,15 +53,14 @@ class ThetaBounds:
 class CostConfig:
     lam: float = 10.0      # course-error weight
     e_max: float = 1.5     # soft barrier threshold [m]
-    N_k: int = 184         # steps per episode
     eps: float = 1e-12     # flooring constant for the logarithms
     j_fail: float = 10.0   # cost assigned to crashed/diverged episodes
 
     def __post_init__(self):
         if not all(map(math.isfinite, vars(self).values())):
             raise ConfigError(f"cost parameters must be finite, got {vars(self)}")
-        if self.lam <= 0 or self.e_max <= 0 or self.N_k < 2:
-            raise ConfigError("need lam > 0, e_max > 0, N_k >= 2")
+        if self.lam <= 0 or self.e_max <= 0:
+            raise ConfigError("need lam > 0, e_max > 0")
 
 
 def episode_cost(e, dpsi, cfg: CostConfig) -> float:
@@ -86,16 +85,17 @@ def episode_cost(e, dpsi, cfg: CostConfig) -> float:
     return math.log(bracket)
 
 
-def failed_episode_cost(steps: int, cfg: CostConfig) -> float:
-    """Tuner objective of a failed episode that survived `steps` steps.
+def failed_episode_cost(steps: int, n_steps: int, cfg: CostConfig) -> float:
+    """Tuner objective of a failed episode that survived `steps` of its
+    `n_steps` steps.
 
-    j_fail at step 0, falling linearly to j_fail / 2 at N_k steps, so the
+    j_fail at step 0, falling linearly to j_fail / 2 at n_steps, so the
     surrogate sees which failing parameters came closer to finishing
     instead of a flat plateau.  With the default j_fail the floor of 5 stays
     above any completed episode's cost (about 4.3 with |e| < 10 m), so a
     completed episode always ranks better than a failed one.
     """
-    frac = min(steps, cfg.N_k) / cfg.N_k
+    frac = min(steps, n_steps) / n_steps
     return cfg.j_fail * (1.0 - 0.5 * frac)
 
 

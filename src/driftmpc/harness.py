@@ -20,7 +20,7 @@ from .csvout import write_csv
 from .equilibrium import R_EQ_MAX, solve_dep
 from .errors import (ConfigError, DriftMpcError, GripBranchError,
                      NoConvergenceError, OffPathError)
-from .mpc import MpcConfig, augment, linearize, solve_mpc
+from .mpc import MpcConfig, augment, condense, linearize, solve_mpc
 from .paths import (PATH_KINDS, ClothoidSpec, EightSpec, PathTable,
                     errors_from_projection, project)
 from .tracking import AptParams, apt_radius, default_radius_grid, ppt_radius, steer_feedback
@@ -146,12 +146,12 @@ def metrics_from_trace(trace: EpisodeTrace, cost_cfg: CostConfig) -> MetricsRepo
 
 
 def tune_objective(trace: EpisodeTrace, metrics: MetricsReport,
-                   cost_cfg: CostConfig) -> float:
+                   scenario: Scenario) -> float:
     """What the tuner minimizes: cost_J for a completed episode, the graded
-    failed_episode_cost of the steps survived for a failed one (cost_J
-    itself stays j_fail)."""
+    failed_episode_cost of the steps survived out of the scenario's steps
+    for a failed one (cost_J itself stays j_fail)."""
     if trace.failed:
-        return failed_episode_cost(len(trace), cost_cfg)
+        return failed_episode_cost(len(trace), scenario.n_steps, scenario.cost)
     return metrics.cost_J
 
 
@@ -211,10 +211,9 @@ def run_episode(scenario: Scenario, theta=None,
                 wrap_angle(float(path.phi[0]) - eq0.beta_eq))
     u_prev = np.array([eq0.delta_eq, eq0.F_xr_eq])
     eq = eq0
-    # the controller model depends on the equilibrium alone: relinearize
-    # only when the equilibrium moves, and hand solve_mpc the same model
-    # object meanwhile, which also keeps its condensed horizon and QP set-up
-    model = model_eq = None
+    # the condensed horizon and its QP set-up depend on the equilibrium
+    # alone: rebuild them only when the equilibrium moves
+    horizon = horizon_eq = None
 
     rows = []
     failed = False
@@ -265,11 +264,12 @@ def run_episode(scenario: Scenario, theta=None,
                 break
 
         try:
-            if eq != model_eq:
-                model = augment(linearize(eq, model_params, mpc_cfg.dT))
-                model_eq = eq
+            if eq != horizon_eq:
+                horizon = condense(augment(linearize(eq, model_params, mpc_cfg.dT)),
+                                   mpc_cfg)
+                horizon_eq = eq
             xi_now = np.array([state.V, state.beta, state.r, u_prev[0], u_prev[1]])
-            sol = solve_mpc(xi_now, eq, model, mpc_cfg, limits)
+            sol = solve_mpc(xi_now, eq, horizon, limits)
         except DriftMpcError as exc:
             failed, reason = True, f"controller failure at step {k}: {exc}"
             break
@@ -341,7 +341,7 @@ def tune(scenario: Scenario, init: int = 20, budget: int = 320,
 
     def runner(theta_free: np.ndarray) -> float:
         trace, metrics = run_episode(scenario, expand(theta_free), path=path)
-        return tune_objective(trace, metrics, scenario.cost)
+        return tune_objective(trace, metrics, scenario)
 
     starts = [pinned[free]]
     if extra_init is not None:

@@ -30,20 +30,12 @@ class LinearModel:
     d: np.ndarray  # 3
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class AugmentedModel:
-    """Increment form over xi = (x, u_prev): xi+ = A_hat xi + B_hat du + D_hat.
-
-    Compared and hashed by identity: solve_mpc caches the condensed horizon
-    of the last model it was given, keyed on the model object, so a model
-    must not change once built.  Its arrays are marked read-only here."""
+    """Increment form over xi = (x, u_prev): xi+ = A_hat xi + B_hat du + D_hat."""
     A_hat: np.ndarray  # 5x5
     B_hat: np.ndarray  # 5x2
     D_hat: np.ndarray  # 5
-
-    def __post_init__(self):
-        for arr in vars(self).values():
-            arr.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -159,8 +151,9 @@ def _stacking(cfg: MpcConfig) -> _Stacking:
     return out
 
 
-class _Horizon(NamedTuple):
+class Horizon(NamedTuple):
     """The parts of the condensed QP fixed by (AugmentedModel, MpcConfig)."""
+    cfg: MpcConfig
     powers: np.ndarray  # (N_p + 1, 5, 5): A_hat^k
     acc: np.ndarray     # (N_p, 5): the affine offset of step k from xi = 0
     S: np.ndarray       # (5 N_p, 2 N_c): block (k, j) = A_hat^(k-j) B_hat
@@ -169,12 +162,11 @@ class _Horizon(NamedTuple):
     setup: _Setup       # solve_qp's _setup(H, A), A the constraint rows
 
 
-@lru_cache(maxsize=1)
-def _horizon(model: AugmentedModel, cfg: MpcConfig) -> _Horizon:
+def condense(model: AugmentedModel, cfg: MpcConfig) -> Horizon:
     """Stack the horizon of a model: deviation_k = S w + c_k with w the
-    increments; S is block Toeplitz.  One entry, keyed on the model object:
-    run_episode hands solve_mpc the same model for as long as the drift
-    equilibrium holds still, so the QP is also set up once per equilibrium.
+    increments; S is block Toeplitz.  It depends on the drift equilibrium
+    alone, so the caller builds it when the equilibrium moves and hands it
+    to solve_mpc while the equilibrium holds; the QP is set up here, once.
     Read-only."""
     n_p, n_c = cfg.N_p, cfg.N_c
     A_hat, D_hat = model.A_hat, model.D_hat
@@ -199,25 +191,18 @@ def _horizon(model: AugmentedModel, cfg: MpcConfig) -> _Horizon:
     SQ = S * st.q_diag[:, None]
     H = 2.0 * (S.T.dot(SQ) + st.R_bar)
     H = 0.5 * (H + H.T)
-    out = _Horizon(powers, acc, S, SQ, H, _setup(H, st.A))
-    for arr in (*out[:-1], *out.setup[:-1]):  # setup ends with an int
+    out = Horizon(cfg, powers, acc, S, SQ, H, _setup(H, st.A))
+    for arr in (*out[1:-1], *out.setup[:-1]):  # setup ends with an int
         arr.flags.writeable = False
     return out
 
 
-def _offsets(hz: _Horizon, xi_now: np.ndarray, xi_eq: np.ndarray) -> np.ndarray:
+def _offsets(hz: Horizon, xi_now: np.ndarray, xi_eq: np.ndarray) -> np.ndarray:
     """The stacked free response c: deviation_k = S w + c_k."""
     c = hz.powers[1:] @ xi_now
     c += hz.acc
     c -= xi_eq
     return c.ravel()
-
-
-def _condense(model: AugmentedModel, xi_now: np.ndarray, xi_eq: np.ndarray,
-              cfg: MpcConfig):
-    """S and c of the condensed horizon (see _horizon)."""
-    hz = _horizon(model, cfg)
-    return hz.S, _offsets(hz, xi_now, xi_eq)
 
 
 class _Constraints(NamedTuple):
@@ -239,9 +224,10 @@ def _constraints(cfg: MpcConfig, limits: ControlLimits) -> _Constraints:
     return out
 
 
-def solve_mpc(xi_now: np.ndarray, dep: DriftEquilibrium, model: AugmentedModel,
-              cfg: MpcConfig, limits: ControlLimits) -> MpcSolution:
-    """One receding-horizon solve; returns the next input to apply.
+def solve_mpc(xi_now: np.ndarray, dep: DriftEquilibrium, horizon: Horizon,
+              limits: ControlLimits) -> MpcSolution:
+    """One receding-horizon solve on the condensed horizon of the model
+    linearized at dep; returns the next input to apply.
 
     xi_now stacks the measured state with the previously applied input,
     (V, beta, r, delta_prev, F_prev).  The previous input must respect the
@@ -251,15 +237,16 @@ def solve_mpc(xi_now: np.ndarray, dep: DriftEquilibrium, model: AugmentedModel,
     if not np.isfinite(xi_now).all():
         raise ConfigError("xi_now must be finite")
     u_prev = xi_now[3:]
+    cfg = horizon.cfg
     con = _constraints(cfg, limits)
     lo, hi = con.lo, con.hi
     if (u_prev < lo - 1e-9).any() or (u_prev > hi + 1e-9).any():
         raise InfeasibleQpError("previous input outside the input set")
 
-    hz, st = _horizon(model, cfg), _stacking(cfg)
-    c = _offsets(hz, xi_now, dep.as_array())
-    H = hz.H
-    g = 2.0 * hz.SQ.T.dot(c)
+    st = _stacking(cfg)
+    c = _offsets(horizon, xi_now, dep.as_array())
+    H = horizon.H
+    g = 2.0 * horizon.SQ.T.dot(c)
     const = float(c.dot(st.q_diag * c))
 
     A = st.A
@@ -271,7 +258,7 @@ def solve_mpc(xi_now: np.ndarray, dep: DriftEquilibrium, model: AugmentedModel,
     bounds[0] = hi - u_prev
     bounds[1] = u_prev - lo
 
-    res = solve_qp(H, g, A, b, setup=hz.setup)
+    res = solve_qp(H, g, A, b, setup=horizon.setup)
     kkt = res.kkt_residuals(H, g, A, b)
     # no scale is below 1, so only an absolute residual above KKT_TOL can fail
     if not all(v <= KKT_TOL for v in kkt.values()) and \

@@ -13,7 +13,7 @@ from driftmpc.bo import ThetaBounds, bo_loop, expected_improvement
 from driftmpc.equilibrium import dep_sweep, solve_dep
 from driftmpc.gp import GpDataset, gp_fit, gp_predict_batch, matern52_matrix
 from driftmpc.harness import case_scenario, run_episode, tune
-from driftmpc.mpc import augment, linearize, solve_mpc
+from driftmpc.mpc import augment, condense, linearize, solve_mpc
 from driftmpc.paths import ClothoidSpec
 from driftmpc.vehicle import default_vehicle_params, dynamics, step
 
@@ -110,7 +110,7 @@ class TestCriterion3QpOptimality:
     def test_kkt_and_saturation(self, limits, mpc_cfg):
         params = default_vehicle_params()
         dep = solve_dep(-0.52, 40.0, params)
-        model = augment(linearize(dep, params, mpc_cfg.dT))
+        hz = condense(augment(linearize(dep, params, mpc_cfg.dT)), mpc_cfg)
         rng = np.random.default_rng(SEED)
         worst = 0.0
         for _ in range(100):
@@ -118,19 +118,19 @@ class TestCriterion3QpOptimality:
             xi[:3] += rng.normal(scale=[1.5, 0.15, 0.15])
             xi[3] = rng.uniform(limits.delta_min, limits.delta_max)
             xi[4] = rng.uniform(limits.F_min, limits.F_max)
-            sol = solve_mpc(xi, dep, model, mpc_cfg, limits)
+            sol = solve_mpc(xi, dep, hz, limits)
             worst = max(worst, sol.kkt["stationarity"], sol.kkt["feasibility"],
                         sol.kkt["complementarity"])
         # equilibrium instance: exact optimum with zero increments
-        sol_eq = solve_mpc(dep.as_array(), dep, model, mpc_cfg, limits)
+        sol_eq = solve_mpc(dep.as_array(), dep, hz, limits)
         eq_ok = np.abs(sol_eq.delta_u).max() < 1e-9 and sol_eq.cost < 1e-10
         # engineered rate saturation on both channels
         xi_d = dep.as_array()
         xi_d[3] += 0.6
-        sat_d = solve_mpc(xi_d, dep, model, mpc_cfg, limits)
+        sat_d = solve_mpc(xi_d, dep, hz, limits)
         xi_f = dep.as_array()
         xi_f[4] = min(xi_f[4] + 4000.0, limits.F_max)
-        sat_f = solve_mpc(xi_f, dep, model, mpc_cfg, limits)
+        sat_f = solve_mpc(xi_f, dep, hz, limits)
         sat_ok = (math.isclose(abs(sat_d.delta_u[0]), 0.15, abs_tol=1e-9)
                   and math.isclose(abs(sat_f.delta_u[1]), 1000.0, abs_tol=1e-6))
         ok = worst < 1e-6 and eq_ok and sat_ok
@@ -142,7 +142,7 @@ class TestCriterion4EquilibriumHold:
     def test_hold_fixed_dep_184_steps(self, limits, mpc_cfg):
         params = default_vehicle_params(mu=1.0)  # plant = model
         dep = solve_dep(-0.52, 40.0, params)
-        model = augment(linearize(dep, params, mpc_cfg.dT))
+        hz = condense(augment(linearize(dep, params, mpc_cfg.dT)), mpc_cfg)
         x_eq = np.array([dep.V_eq, dep.beta_eq, dep.r_eq])
         t0 = time.time()
         state = dep.state()
@@ -152,7 +152,7 @@ class TestCriterion4EquilibriumHold:
         worst = 0.0
         for _ in range(184):
             xi = np.array([state.V, state.beta, state.r, u_prev[0], u_prev[1]])
-            sol = solve_mpc(xi, dep, model, mpc_cfg, limits)
+            sol = solve_mpc(xi, dep, hz, limits)
             state, pose = step(state, pose, sol.u_next, params, mpc_cfg.dT,
                                substeps=10)
             u_prev = np.array([sol.u_next.delta, sol.u_next.F_xr])

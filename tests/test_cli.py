@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -118,6 +119,21 @@ def test_report_restores_failed_trace(tmp_path, capsys):
     assert restored.failure_reason == expected.failure_reason
 
 
+def test_report_labels_holding_a_comma_or_quote_keep_their_columns(tmp_path, capsys):
+    trace, _ = run_episode(case_scenario(case=1, mode="ppt", T=1.0))
+    files = [str(tmp_path / name) for name in ("a,b.csv", 'say "hi".csv', "plain.csv")]
+    for f in files:
+        trace.to_csv(f)
+    assert main(["report", "--traces", *files, "--out", str(tmp_path / "rep")]) == 0
+    with open(tmp_path / "rep" / "metrics.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(r) for r in rows] == [10] * 4
+    assert [r[0] for r in rows] == ["label", "a,b", 'say "hi"', "plain"]
+    assert rows[1][1:] == rows[2][1:] == rows[3][1:]
+    lines = (tmp_path / "rep" / "metrics.csv").read_text().splitlines()
+    assert lines[3].startswith("plain,")  # a label with nothing to quote is as it was
+
+
 def test_classified_errors_reported_without_traceback(tmp_path, capsys):
     assert main(["dep", "--delta", "0.2", "--radius", "40"]) == 2
     err = capsys.readouterr().err
@@ -177,7 +193,7 @@ def test_scenario_file_that_is_not_json_reported_without_traceback(tmp_path, cap
     ("mpc", "N_c", 19.0), ("mpc", "Q", [10.0, 1.0, math.nan, 1.0, 1.0]),
     ("limits", "F_max", math.nan), ("plant_params", "m", math.inf),
     ("model_params", "I_z", math.nan), ("apt", "k", math.nan), ("apt", "x_la", math.nan),
-    ("cost", "j_fail", math.nan), ("path", "length", math.nan)])
+    ("cost", "j_fail", math.nan), ("cost", "N_k", 184), ("path", "length", math.nan)])
 def test_malformed_scenario_section_reported_without_traceback(tmp_path, capsys,
                                                                section, key, value):
     data = scenario_to_dict(case_scenario(case=1, mode="ppt", T=1.0))

@@ -297,7 +297,7 @@ class TestAcquireNext:
 
 
 class TestEpisodeCost:
-    CFG = CostConfig(lam=10.0, e_max=1.5, N_k=184)
+    CFG = CostConfig(lam=10.0, e_max=1.5)
 
     def test_perfect_tracking_floor(self):
         n = 184
@@ -447,8 +447,6 @@ def test_warm_start_of_the_wrong_width_rejected(init):
 def test_cost_config_validation():
     with pytest.raises(ConfigError):
         CostConfig(lam=-1.0)
-    with pytest.raises(ConfigError):
-        CostConfig(N_k=1)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -427,11 +427,19 @@ def _completed_cost_bound(cfg: CostConfig) -> float:
 
 class TestTuneObjective:
     def test_failed_episode_cost_graded_by_steps(self):
-        cfg = CostConfig()
-        vals = np.array([failed_episode_cost(k, cfg) for k in range(cfg.N_k + 1)])
+        cfg, n = CostConfig(), case_scenario().n_steps
+        vals = np.array([failed_episode_cost(k, n, cfg) for k in range(n + 1)])
         assert vals[0] == cfg.j_fail
         assert np.all(np.diff(vals) < 0.0)
         assert vals.min() > _completed_cost_bound(cfg)
+
+    def test_failure_graded_against_the_episode_steps(self):
+        sc = case_scenario(case=1, mode="almpc", T=4.0)
+        j_fail = sc.cost.j_fail
+        for k in (0, 1, 20, 39, 40):
+            trace = EpisodeTrace({c: np.zeros(k) for c in TRACE_COLUMNS}, failed=True)
+            got = tune_objective(trace, metrics_from_trace(trace, sc.cost), sc)
+            assert math.isclose(got, j_fail * (1 - 0.5 * k / 40), rel_tol=1e-15)
 
     def test_longer_survivor_scores_lower_on_case2(self):
         sc = case_scenario(case=2, mode="almpc")
@@ -441,13 +449,13 @@ class TestTuneObjective:
         assert early.failed and late.failed
         assert 0 < len(early) < len(late)
         assert m_early.cost_J == m_late.cost_J == sc.cost.j_fail
-        j_early = tune_objective(early, m_early, sc.cost)
-        j_late = tune_objective(late, m_late, sc.cost)
+        j_early = tune_objective(early, m_early, sc)
+        j_late = tune_objective(late, m_late, sc)
         assert j_late < j_early < sc.cost.j_fail
 
     def test_completed_episode_keeps_cost_j(self):
         sc = case_scenario(case=2, mode="almpc")
         trace, m = run_episode(sc, (-0.5, 0.3, -3.0))
         assert not trace.failed
-        assert tune_objective(trace, m, sc.cost) == m.cost_J
+        assert tune_objective(trace, m, sc) == m.cost_J
         assert m.cost_J < _completed_cost_bound(sc.cost)

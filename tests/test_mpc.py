@@ -13,8 +13,8 @@ from driftmpc.equilibrium import solve_dep
 from driftmpc.errors import (ConfigError, DriftMpcError, FrictionCircleError,
                              InfeasibleQpError, UncertifiedQpError)
 from driftmpc.harness import case_scenario, run_episode
-from driftmpc.mpc import (AugmentedModel, MpcConfig, _condense, _constraints,
-                          augment, linearize, solve_mpc)
+from driftmpc.mpc import (AugmentedModel, MpcConfig, _constraints, _offsets,
+                          augment, condense, linearize, solve_mpc)
 from driftmpc.qp import solve_qp
 from driftmpc.vehicle import ControlLimits, default_vehicle_params, dynamics
 
@@ -32,6 +32,11 @@ def lin(dep, params, mpc_cfg):
 @pytest.fixture(scope="module")
 def aug(lin):
     return augment(lin)
+
+
+@pytest.fixture(scope="module")
+def hz(aug, mpc_cfg):
+    return condense(aug, mpc_cfg)
 
 
 def predict_trajectory(model, xi_now, increments, n_p):
@@ -52,9 +57,15 @@ def predict_trajectory(model, xi_now, increments, n_p):
     return out
 
 
+def s_and_c(model, xi_now, xi_eq, cfg):
+    """S and the free response c of the condensed horizon at xi_now."""
+    hz = condense(model, cfg)
+    return hz.S, _offsets(hz, xi_now, xi_eq)
+
+
 def condense_per_block(model, xi_now, xi_eq, cfg):
     """Oracle: condensing with one matrix product per horizon block;
-    _condense must reproduce it bit for bit."""
+    condense and _offsets must reproduce it bit for bit."""
     n_p, n_c = cfg.N_p, cfg.N_c
     powers = [np.eye(5)]
     c = np.empty(5 * n_p)
@@ -150,7 +161,7 @@ def augment_oracle(model):
 
 
 def horizon_oracle(model, cfg):
-    """The powers, affine offsets, S, SQ and H of mpc._horizon."""
+    """The powers, affine offsets, S, SQ and H of condense."""
     n_p, n_c = cfg.N_p, cfg.N_c
     powers = np.empty((n_p + 1, 5, 5))
     powers[0] = np.eye(5)
@@ -318,18 +329,18 @@ class TestSolveQp:
 
 
 class TestSolveMpc:
-    def test_equilibrium_returns_zero_increment(self, dep, aug, mpc_cfg, limits):
+    def test_equilibrium_returns_zero_increment(self, dep, hz, limits):
         xi = dep.as_array()
-        sol = solve_mpc(xi, dep, aug, mpc_cfg, limits)
+        sol = solve_mpc(xi, dep, hz, limits)
         assert np.abs(sol.delta_u).max() < 1e-9
         assert sol.cost < 1e-10
         assert math.isclose(sol.u_next.delta, dep.delta_eq, abs_tol=1e-9)
         assert math.isclose(sol.u_next.F_xr, dep.F_xr_eq, abs_tol=1e-5)
 
-    def test_unconstrained_matches_least_squares_oracle(self, dep, aug,
+    def test_unconstrained_matches_least_squares_oracle(self, dep, aug, hz,
                                                         mpc_cfg, limits):
         xi = dep.as_array() + np.array([0.02, 0.005, -0.003, 0.0, 0.0])
-        sol = solve_mpc(xi, dep, aug, mpc_cfg, limits)
+        sol = solve_mpc(xi, dep, hz, limits)
         # independent dense batch construction of the same problem
         n_p, n_c = mpc_cfg.N_p, mpc_cfg.N_c
         blocks = []
@@ -355,34 +366,34 @@ class TestSolveMpc:
         assert np.abs(sol.delta_u - w_star[:2]).max() < 1e-6
         assert len(sol.kkt) and sol.kkt["stationarity"] < 1e-6
 
-    def test_rate_saturation_clamps_exactly(self, dep, aug, mpc_cfg, limits):
+    def test_rate_saturation_clamps_exactly(self, dep, hz, limits):
         xi = dep.as_array()
         xi[3] += 0.6  # previous steering far above the equilibrium value
-        sol = solve_mpc(xi, dep, aug, mpc_cfg, limits)
+        sol = solve_mpc(xi, dep, hz, limits)
         assert math.isclose(abs(sol.delta_u[0]), limits.d_delta_lim, abs_tol=1e-9)
         assert sol.kkt["dual"] == 0.0
         xi2 = dep.as_array()
         xi2[4] = min(xi2[4] + 4000.0, limits.F_max)
-        sol2 = solve_mpc(xi2, dep, aug, mpc_cfg, limits)
+        sol2 = solve_mpc(xi2, dep, hz, limits)
         assert math.isclose(abs(sol2.delta_u[1]), limits.d_F_lim, abs_tol=1e-6)
 
-    def test_inputs_respect_bounds(self, dep, aug, mpc_cfg, limits, rng):
+    def test_inputs_respect_bounds(self, dep, hz, limits, rng):
         for _ in range(25):
             xi = dep.as_array()
             xi[:3] += rng.normal(scale=[1.0, 0.1, 0.1])
             xi[3] = rng.uniform(limits.delta_min, limits.delta_max)
             xi[4] = rng.uniform(limits.F_min, limits.F_max)
-            sol = solve_mpc(xi, dep, aug, mpc_cfg, limits)
+            sol = solve_mpc(xi, dep, hz, limits)
             assert limits.delta_min - 1e-9 <= sol.u_next.delta <= limits.delta_max + 1e-9
             assert limits.F_min - 1e-6 <= sol.u_next.F_xr <= limits.F_max + 1e-6
             assert abs(sol.u_next.delta - xi[3]) <= limits.d_delta_lim + 1e-9
             assert abs(sol.u_next.F_xr - xi[4]) <= limits.d_F_lim + 1e-6
 
-    def test_condensing_matches_rollout(self, dep, aug, mpc_cfg, limits):
+    def test_condensing_matches_rollout(self, dep, aug, hz, mpc_cfg, limits):
         xi = dep.as_array() + np.array([0.5, -0.02, 0.01, -0.05, 200.0])
-        sol = solve_mpc(xi, dep, aug, mpc_cfg, limits)
+        sol = solve_mpc(xi, dep, hz, limits)
         # rebuild the full increment sequence by re-solving the same QP
-        S, c = _condense(aug, xi, dep.as_array(), mpc_cfg)
+        S, c = s_and_c(aug, xi, dep.as_array(), mpc_cfg)
         increments = np.zeros((mpc_cfg.N_c, 2))
         increments[0] = sol.delta_u
         # roll the model under just the first increment's plan is not enough;
@@ -397,7 +408,7 @@ class TestSolveMpc:
 
     def test_warm_start_objective_invariance(self, dep, aug, mpc_cfg, limits):
         xi = dep.as_array() + np.array([0.8, -0.05, 0.02, 0.0, 0.0])
-        S, c = _condense(aug, xi, dep.as_array(), mpc_cfg)
+        S, c = s_and_c(aug, xi, dep.as_array(), mpc_cfg)
         q = np.tile(np.asarray(mpc_cfg.Q, float), mpc_cfg.N_p)
         r = np.tile(np.asarray(mpc_cfg.R, float), mpc_cfg.N_c)
         SQ = S * q[:, None]
@@ -413,41 +424,41 @@ class TestSolveMpc:
         obj = lambda x: 0.5 * x @ H @ x + g @ x
         assert abs(obj(cold.x) - obj(warm.x)) < 1e-8 * max(1.0, abs(obj(cold.x)))
 
-    def test_previous_input_must_be_feasible(self, dep, aug, mpc_cfg, limits):
+    def test_previous_input_must_be_feasible(self, dep, hz, limits):
         xi = dep.as_array()
         xi[3] = limits.delta_max + 0.5
         with pytest.raises(InfeasibleQpError):
-            solve_mpc(xi, dep, aug, mpc_cfg, limits)
+            solve_mpc(xi, dep, hz, limits)
 
-    def test_certificate_is_relative_to_the_qp_scale(self, dep, aug, mpc_cfg, limits):
+    def test_certificate_is_relative_to_the_qp_scale(self, dep, aug, hz, mpc_cfg,
+                                                   limits):
         # weights x1e10 keep the minimizer and scale g and the multipliers
         # by 1e10: the absolute stationarity residual is rounding of that size
         big = MpcConfig(Q=tuple(1e10 * q for q in mpc_cfg.Q),
                         R=tuple(1e10 * r for r in mpc_cfg.R))
         xi = dep.as_array() + np.array([0.8, -0.05, 0.02, 0.1, -300.0])
-        sol = solve_mpc(xi, dep, aug, big, limits)
+        sol = solve_mpc(xi, dep, condense(aug, big), limits)
         assert sol.kkt["stationarity"] > 1e-6
-        ref = solve_mpc(xi, dep, aug, mpc_cfg, limits)
+        ref = solve_mpc(xi, dep, hz, limits)
         np.testing.assert_allclose(sol.delta_u, ref.delta_u, rtol=1e-9, atol=1e-12)
 
-    def test_uncertified_qp_answer_is_not_applied(self, dep, aug, mpc_cfg, limits,
-                                                  monkeypatch):
+    def test_uncertified_qp_answer_is_not_applied(self, dep, hz, limits, monkeypatch):
         def perturbed(H, g, A, b, **kwargs):
             res = solve_qp(H, g, A, b, **kwargs)
             res.x = res.x + 1e-3
             return res
 
         xi = dep.as_array() + np.array([0.8, -0.05, 0.02, 0.1, -300.0])
-        solve_mpc(xi, dep, aug, mpc_cfg, limits)
+        solve_mpc(xi, dep, hz, limits)
         monkeypatch.setattr(mpc, "solve_qp", perturbed)
         with pytest.raises(UncertifiedQpError, match="KKT certificate"):
-            solve_mpc(xi, dep, aug, mpc_cfg, limits)
+            solve_mpc(xi, dep, hz, limits)
 
-    def test_non_finite_state_rejected(self, dep, aug, mpc_cfg, limits):
+    def test_non_finite_state_rejected(self, dep, hz, limits):
         xi = dep.as_array()
         xi[0] = math.nan
         with pytest.raises(ConfigError):
-            solve_mpc(xi, dep, aug, mpc_cfg, limits)
+            solve_mpc(xi, dep, hz, limits)
 
 
 @st.composite
@@ -468,7 +479,7 @@ def test_condense_matches_rollout_oracle(horizon, seed):
                            B_hat=rng.normal(size=(5, 2)), D_hat=rng.normal(size=5))
     xi_now, xi_eq = rng.normal(size=5), rng.normal(size=5)
     plan = rng.normal(size=(n_c, 2))
-    S, c = _condense(model, xi_now, xi_eq, MpcConfig(N_p=n_p, N_c=n_c))
+    S, c = s_and_c(model, xi_now, xi_eq, MpcConfig(N_p=n_p, N_c=n_c))
     assert S.shape == (5 * n_p, 2 * n_c) and c.shape == (5 * n_p,)
     rollout = predict_trajectory(model, xi_now, plan, n_p)
     condensed = (S @ plan.ravel() + c).reshape(n_p, 5) + xi_eq
@@ -485,7 +496,7 @@ def test_condense_matches_per_block_oracle(horizon, seed):
                            B_hat=rng.normal(size=(5, 2)), D_hat=rng.normal(size=5))
     xi_now, xi_eq = rng.normal(size=5), rng.normal(size=5)
     cfg = MpcConfig(N_p=n_p, N_c=n_c)
-    S, c = _condense(model, xi_now, xi_eq, cfg)
+    S, c = s_and_c(model, xi_now, xi_eq, cfg)
     S_ref, c_ref = condense_per_block(model, xi_now, xi_eq, cfg)
     assert np.array_equal(S, S_ref) and np.array_equal(c, c_ref)
     assert bits(S, c) == bits(*condense_oracle(model, xi_now, xi_eq, cfg))
@@ -495,7 +506,7 @@ def test_condense_matches_per_block_oracle(horizon, seed):
 def test_condense_per_block_on_drift_model(aug, dep, n_p, n_c):
     xi = dep.as_array() + np.array([0.5, -0.02, 0.01, -0.05, 200.0])
     cfg = MpcConfig(N_p=n_p, N_c=n_c)
-    S, c = _condense(aug, xi, dep.as_array(), cfg)
+    S, c = s_and_c(aug, xi, dep.as_array(), cfg)
     S_ref, c_ref = condense_per_block(aug, xi, dep.as_array(), cfg)
     assert np.array_equal(S, S_ref) and np.array_equal(c, c_ref)
     assert bits(S, c) == bits(*condense_oracle(aug, xi, dep.as_array(), cfg))
@@ -527,7 +538,7 @@ class TestConstraintCache:
         assert twin is not limits
         assert _constraints(MpcConfig(), twin) is _constraints(mpc_cfg, limits)
 
-    def test_rate_limits_reach_b(self, dep, aug, mpc_cfg, limits, monkeypatch):
+    def test_rate_limits_reach_b(self, dep, hz, mpc_cfg, limits, monkeypatch):
         seen = []
 
         def capture(H, g, A, b, *args, **kwargs):
@@ -538,7 +549,7 @@ class TestConstraintCache:
         xi = dep.as_array()
         tight = replace(limits, d_delta_lim=0.05, d_F_lim=400.0)
         for lim in (limits, tight):
-            solve_mpc(xi, dep, aug, mpc_cfg, lim)
+            solve_mpc(xi, dep, hz, lim)
             A_ref, b_ref = constraints_per_step(mpc_cfg, lim, xi[3:])
             assert np.array_equal(seen[-1][0], A_ref)
             assert np.array_equal(seen[-1][1], b_ref)
@@ -548,22 +559,24 @@ class TestConstraintCache:
         assert not np.array_equal(b_wide[:n_rate], b_tight[:n_rate])
         assert np.array_equal(b_wide[n_rate:], b_tight[n_rate:])
 
-    def test_equal_configurations_give_identical_solutions(self, dep, aug,
-                                                          mpc_cfg, limits):
+    def test_equal_configurations_give_identical_solutions(self, dep, aug, hz,
+                                                          limits):
         xi = dep.as_array() + np.array([0.8, -0.05, 0.02, 0.1, -300.0])
-        a = solve_mpc(xi, dep, aug, mpc_cfg, limits)
-        b = solve_mpc(xi.copy(), dep, aug, MpcConfig(), ControlLimits(**asdict(limits)))
+        a = solve_mpc(xi, dep, hz, limits)
+        b = solve_mpc(xi.copy(), dep, condense(aug, MpcConfig()),
+                      ControlLimits(**asdict(limits)))
         assert a.u_next == b.u_next and a.cost == b.cost and a.kkt == b.kkt
         assert np.array_equal(a.delta_u, b.delta_u)
         assert (a.qp_iterations, a.n_active) == (b.qp_iterations, b.n_active)
 
     def test_non_finite_model_is_a_classified_failure(self, dep, aug, mpc_cfg, limits):
         # a NaN in A_hat or B_hat reaches H, which the QP's set-up in
-        # _horizon checks; one in D_hat reaches only g, which solve_qp checks
+        # condense checks; one in D_hat reaches only g, which solve_qp checks
         for name in ("A_hat", "B_hat", "D_hat"):
             arrays = {**vars(aug), name: np.full_like(getattr(aug, name), math.nan)}
             with pytest.raises(ConfigError, match=re.escape(qp._NOT_FINITE)):
-                solve_mpc(dep.as_array(), dep, AugmentedModel(**arrays), mpc_cfg, limits)
+                solve_mpc(dep.as_array(), dep,
+                          condense(AugmentedModel(**arrays), mpc_cfg), limits)
 
 
 class TestMpcConfig:
@@ -648,9 +661,10 @@ class TestSameBits:
         u_prevs += list(rng.uniform(lo, hi, size=(4, 2)))
         for n_p, n_c in [(20, 19), (20, 20), (5, 1), (1, 1)]:
             cfg = MpcConfig(N_p=n_p, N_c=n_c)
+            horizon = condense(aug, cfg)
             for u_prev in u_prevs:
                 xi = np.concatenate([dep.as_array()[:3], u_prev])
-                solve_mpc(xi, dep, aug, cfg, limits)
+                solve_mpc(xi, dep, horizon, limits)
                 _, b_ref = constraints_per_step(cfg, limits, xi[3:])
                 assert bits(seen[-1]) == bits(b_ref), (n_p, n_c, u_prev)
 
@@ -676,8 +690,9 @@ def per_step_qp(model, xi_now, xi_eq, cfg):
 
 
 class TestHorizonReuse:
-    """solve_mpc condenses once per model object and reuses the result while
-    it is handed the same model; nothing it returns may depend on that."""
+    """run_episode condenses once per drift equilibrium and hands every
+    solve_mpc the same horizon while it holds; nothing solve_mpc returns
+    may depend on that."""
 
     def test_reused_cached_and_fresh_models_agree_bitwise(self, dep, params,
                                                           mpc_cfg, limits,
@@ -689,42 +704,24 @@ class TestHorizonReuse:
             return solve_qp(H, g, A, b, *args, **kwargs)
 
         monkeypatch.setattr(mpc, "solve_qp", capture)
-        kept = augment(linearize(dep, params, mpc_cfg.dT))
+        model = augment(linearize(dep, params, mpc_cfg.dT))
+        kept = condense(model, mpc_cfg)
         lo = np.array([limits.delta_min, limits.F_min])
         hi = np.array([limits.delta_max, limits.F_max])
         rng = np.random.default_rng(11)
         for _ in range(6):
             xi = dep.as_array() + rng.normal(scale=[0.8, 0.05, 0.02, 0.05, 300.0])
             xi[3:] = np.clip(xi[3:], lo, hi)
-            # a fresh model evicts the kept one, which is then rebuilt from
-            # the same arrays, then served from the cache
-            fresh = solve_mpc(xi, dep, augment(linearize(dep, params, mpc_cfg.dT)),
-                              mpc_cfg, limits)
-            reused = solve_mpc(xi, dep, kept, mpc_cfg, limits)
-            hits = mpc._horizon.cache_info().hits
-            cached = solve_mpc(xi, dep, kept, mpc_cfg, limits)
-            assert mpc._horizon.cache_info().hits == hits + 1
-            assert solution_bits(fresh) == solution_bits(reused) == solution_bits(cached)
-            want = bits(*per_step_qp(kept, xi, dep.as_array(), mpc_cfg))
-            assert [bits(*qp) for qp in seen[-3:]] == [want] * 3
+            fresh = condense(augment(linearize(dep, params, mpc_cfg.dT)), mpc_cfg)
+            on_fresh = solve_mpc(xi, dep, fresh, limits)
+            reused = solve_mpc(xi, dep, kept, limits)
+            assert solution_bits(on_fresh) == solution_bits(reused)
+            want = bits(*per_step_qp(model, xi, dep.as_array(), mpc_cfg))
+            assert [bits(*qp) for qp in seen[-2:]] == [want] * 2
 
-    def test_equal_values_other_identity_recomputes(self, aug, mpc_cfg):
-        twin = AugmentedModel(A_hat=aug.A_hat.copy(), B_hat=aug.B_hat.copy(),
-                              D_hat=aug.D_hat.copy())
-        assert twin != aug
-        first = mpc._horizon(aug, mpc_cfg)
-        assert mpc._horizon(aug, mpc_cfg) is first
-        other = mpc._horizon(twin, mpc_cfg)
-        assert other is not first
-        assert bits(*other[:-1], *other.setup[:-1]) == bits(*first[:-1], *first.setup[:-1])
-        assert mpc._horizon(aug, mpc_cfg) is not first  # one entry only
-
-    def test_model_and_horizon_arrays_are_read_only(self, dep, params, mpc_cfg):
-        model = augment(linearize(dep, params, mpc_cfg.dT))
-        hz = mpc._horizon(model, mpc_cfg)
-        S, _ = _condense(model, dep.as_array(), dep.as_array(), mpc_cfg)
-        assert S is hz.S
-        for arr in (*vars(model).values(), *hz[:-1], *hz.setup[:-1]):
+    def test_model_and_horizon_arrays_are_read_only(self, hz):
+        # the episode reuses them across steps
+        for arr in (*hz[1:-1], *hz.setup[:-1]):
             with pytest.raises(ValueError):
                 arr.flat[0] = 1.0
         with pytest.raises(ValueError):
@@ -744,7 +741,7 @@ class TestHorizonReuse:
         monkeypatch.setattr(harness, "linearize", counted("linearize", harness.linearize))
         setup = counted("setup", qp._setup)
         monkeypatch.setattr(qp, "_setup", setup)   # solve_qp's own
-        monkeypatch.setattr(mpc, "_setup", setup)  # _horizon's
+        monkeypatch.setattr(mpc, "_setup", setup)  # condense's
         trace, _ = run_episode(case_scenario(case=1, mode="ppt"))
         assert not trace.failed and len(trace) == 184
         assert counts == {"linearize": 20, "setup": 20}
@@ -763,12 +760,12 @@ def stable_model(rng):
 @given(st.sampled_from([(20, 19), (20, 20), (20, 1), (12, 5), (25, 13), (1, 1)]),
        st.integers(0, 2**32 - 1))
 def test_horizon_and_qp_data_match_the_array_oracles(dep, limits, horizon, seed):
-    """_horizon's arrays and the (H, g) solve_mpc hands the QP are the bytes
+    """condense's arrays and the (H, g) solve_mpc hands the QP are the bytes
     of the @-based oracles, over random stable models and horizons."""
     rng = np.random.default_rng(seed)
     model = stable_model(rng)
     cfg = MpcConfig(N_p=horizon[0], N_c=horizon[1])
-    hz = mpc._horizon(model, cfg)
+    hz = condense(model, cfg)
     assert bits(hz.powers, hz.acc, hz.S, hz.SQ, hz.H) == bits(*horizon_oracle(model, cfg))
     xi = dep.as_array() + rng.normal(scale=[0.8, 0.05, 0.02, 0.0, 0.0])
     seen = []
@@ -780,7 +777,7 @@ def test_horizon_and_qp_data_match_the_array_oracles(dep, limits, horizon, seed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mpc, "solve_qp", capture)
         try:
-            solve_mpc(xi, dep, model, cfg, limits)
+            solve_mpc(xi, dep, hz, limits)
         except DriftMpcError:
             pass  # the QP's own outcome is not what is checked here
     assert [bits(*qp) for qp in seen] == [bits(*per_step_qp(model, xi, dep.as_array(), cfg))]

@@ -26,8 +26,8 @@ from driftmpc.equilibrium import solve_dep
 from driftmpc.errors import (ConfigError, DriftMpcError, InfeasibleQpError,
                              QpIterationLimitError)
 from driftmpc.harness import case_scenario, run_episode
-from driftmpc.mpc import (MpcConfig, _constraints, _stacking, augment, linearize,
-                          solve_mpc)
+from driftmpc.mpc import (MpcConfig, _constraints, _stacking, augment, condense,
+                          linearize, solve_mpc)
 from driftmpc.qp import QpResult, solve_qp
 from driftmpc.vehicle import default_limits, default_vehicle_params
 
@@ -317,7 +317,7 @@ def test_mpc_certificate_with_previous_input_on_a_bound(eq, dx, scale, u_frac):
     for j, (f, lo, hi) in enumerate(zip(u_frac, (limits.delta_min, limits.F_min),
                                         (limits.delta_max, limits.F_max))):
         xi[3 + j] = {0.0: lo, 1.0: hi}.get(f, lo + f * (hi - lo))
-    sol = solve_mpc(xi, dep, model, cfg, limits)
+    sol = solve_mpc(xi, dep, condense(model, cfg), limits)
     assert max(sol.kkt["stationarity"], sol.kkt["feasibility"],
                sol.kkt["complementarity"]) < KKT_GATE
 
@@ -431,10 +431,10 @@ def test_polish_with_a_duplicated_working_row_takes_lstsq(monkeypatch):
     assert np.allclose(x, [1.0, 1.0, 0.0]) and np.allclose(lam, [1.0, 1.0])
 
 
-# solve_mpc hands solve_qp the set-up of (H, A) it computed once per drift
-# equilibrium; other callers let solve_qp compute it.  Nothing solve_qp
-# returns or raises may depend on which, and nothing may carry over from
-# one call to the next.
+# solve_mpc hands solve_qp the set-up of (H, A) that condense computed
+# once per drift equilibrium; other callers let solve_qp compute it.
+# Nothing solve_qp returns or raises may depend on which, and nothing may
+# carry over from one call to the next.
 
 def with_setup(H, g, A, b, x0=None):
     """solve_qp handed the set-up it would compute itself."""
