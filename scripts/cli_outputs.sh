@@ -96,8 +96,8 @@ PY
 # drift, grip and non-converging cells, plus one equilibrium moved onto the
 # rear friction cap so that linearize differences that column one-sided:
 # the exact bits of the solve_dep result and, at it, of linearize's A, B, d,
-# condense's S, the free response c and the H, g that solve_mpc hands the
-# QP; or the class of the exception the solve raised
+# condense's S, the free response c and the H, g, A, b that solve_mpc hands
+# the QP; or the class of the exception the solve raised
 python3 -B - > kernel_digest.txt <<'PY'
 import dataclasses
 
@@ -115,11 +115,11 @@ offset = np.array([0.5, -0.02, 0.01, -0.05, 200.0])
 
 
 class QpData(Exception):
-    """Carries the (H, g) solve_mpc passed to solve_qp, before the solve."""
+    """Carries the (H, g, A, b) solve_mpc passed to solve_qp, before the solve."""
 
 
 def stop_at_the_qp(H, g, A, b, *args, **kwargs):
-    raise QpData(H, g)
+    raise QpData(H, g, A, b)
 
 
 mpc.solve_qp = stop_at_the_qp
@@ -137,8 +137,8 @@ def line(name, eq):
     try:
         solve_mpc(xi_eq + offset, eq, hz, limits)
     except QpData as qp:
-        H, g = qp.args
-    print(name, hexes(xi_eq, lin.A, lin.B, lin.d, hz.S, c, H, g))
+        H, g, A, b = qp.args
+    print(name, hexes(xi_eq, lin.A, lin.B, lin.d, hz.S, c, H, g, A, b))
 
 
 for delta in (-0.9, -0.52, -0.1, 0.2):

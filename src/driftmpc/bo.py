@@ -59,8 +59,8 @@ class CostConfig:
     def __post_init__(self):
         if not all(map(math.isfinite, vars(self).values())):
             raise ConfigError(f"cost parameters must be finite, got {vars(self)}")
-        if self.lam <= 0 or self.e_max <= 0:
-            raise ConfigError("need lam > 0, e_max > 0")
+        if self.lam <= 0 or self.e_max <= 0 or self.eps <= 0:
+            raise ConfigError("need lam > 0, e_max > 0, eps > 0")
 
 
 def episode_cost(e, dpsi, cfg: CostConfig) -> float:

@@ -23,7 +23,8 @@ from .errors import (ConfigError, DriftMpcError, GripBranchError,
 from .mpc import MpcConfig, augment, condense, linearize, solve_mpc
 from .paths import (PATH_KINDS, ClothoidSpec, EightSpec, PathTable,
                     errors_from_projection, project)
-from .tracking import AptParams, apt_radius, default_radius_grid, ppt_radius, steer_feedback
+from .tracking import (AptParams, apt_radius, clamp_radius, default_radius_grid,
+                       ppt_radius, steer_feedback)
 from .vehicle import (MU_NOMINAL, MU_SLIPPERY, ControlInput, ControlLimits, Pose,
                       VehicleParams, default_limits, default_vehicle_params,
                       step, wrap_angle)
@@ -202,9 +203,9 @@ def run_episode(scenario: Scenario, theta=None,
     use_apt_law = 1 in FREE_COMPONENTS[mode]
 
     # initial condition: path origin, course aligned with the tangent, at the
-    # stock equilibrium for the initial path radius
+    # stock equilibrium for the initial path radius, clamped like every later one
     kappa0 = float(path.kappa[0])
-    R0 = 1.0 / kappa0 if kappa0 != 0 else R_EQ_MAX
+    R0 = clamp_radius(1.0 / kappa0, 1.0) if kappa0 != 0 else R_EQ_MAX
     eq0 = solve_dep(scenario.apt.delta_eq_base, R0, model_params)
     state = eq0.state()
     pose = Pose(float(path.x[0]), float(path.y[0]),

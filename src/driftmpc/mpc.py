@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -116,9 +116,9 @@ class MpcSolution:
     u_next: ControlInput
     cost: float             # predicted objective at the optimum
     delta_u: np.ndarray     # first increment applied
-    kkt: dict = field(default_factory=dict)
-    qp_iterations: int = 0
-    n_active: int = 0
+    kkt: dict               # qp.QpResult.kkt_residuals of the answer
+    qp_iterations: int
+    n_active: int
 
 
 class _Stacking(NamedTuple):
@@ -192,7 +192,7 @@ def condense(model: AugmentedModel, cfg: MpcConfig) -> Horizon:
     H = 2.0 * (S.T.dot(SQ) + st.R_bar)
     H = 0.5 * (H + H.T)
     out = Horizon(cfg, powers, acc, S, SQ, H, _setup(H, st.A))
-    for arr in (*out[1:-1], *out.setup[:-1]):  # setup ends with an int
+    for arr in (*out[1:-1], *out.setup):
         arr.flags.writeable = False
     return out
 
@@ -203,25 +203,6 @@ def _offsets(hz: Horizon, xi_now: np.ndarray, xi_eq: np.ndarray) -> np.ndarray:
     c += hz.acc
     c -= xi_eq
     return c.ravel()
-
-
-class _Constraints(NamedTuple):
-    """The parts of the MPC QP fixed by (MpcConfig, ControlLimits)."""
-    b_rate: np.ndarray  # right-hand side of the rate rows
-    lo: np.ndarray      # (delta_min, F_min)
-    hi: np.ndarray      # (delta_max, F_max)
-
-
-@lru_cache(maxsize=16)
-def _constraints(cfg: MpcConfig, limits: ControlLimits) -> _Constraints:
-    """Read-only."""
-    rate = np.array([limits.d_delta_lim, limits.d_F_lim])
-    out = _Constraints(np.tile(rate, 2 * cfg.N_c),
-                       np.array([limits.delta_min, limits.F_min]),
-                       np.array([limits.delta_max, limits.F_max]))
-    for arr in out:
-        arr.flags.writeable = False
-    return out
 
 
 def solve_mpc(xi_now: np.ndarray, dep: DriftEquilibrium, horizon: Horizon,
@@ -238,8 +219,8 @@ def solve_mpc(xi_now: np.ndarray, dep: DriftEquilibrium, horizon: Horizon,
         raise ConfigError("xi_now must be finite")
     u_prev = xi_now[3:]
     cfg = horizon.cfg
-    con = _constraints(cfg, limits)
-    lo, hi = con.lo, con.hi
+    lo = np.array([limits.delta_min, limits.F_min])
+    hi = np.array([limits.delta_max, limits.F_max])
     if (u_prev < lo - 1e-9).any() or (u_prev > hi + 1e-9).any():
         raise InfeasibleQpError("previous input outside the input set")
 
@@ -250,10 +231,10 @@ def solve_mpc(xi_now: np.ndarray, dep: DriftEquilibrium, horizon: Horizon,
     const = float(c.dot(st.q_diag * c))
 
     A = st.A
-    n_rate = con.b_rate.size
+    n_rate = 4 * cfg.N_c
     b = np.empty(A.shape[0])
-    b[:n_rate] = con.b_rate
-    # the upper and lower input-bound rows, one (delta, F) pair per step
+    # the rate rows, then the upper and lower input-bound rows, in (delta, F) pairs
+    b[:n_rate].reshape(-1, 2)[:] = limits.d_delta_lim, limits.d_F_lim
     bounds = b[n_rate:].reshape(2, cfg.N_c, 2)
     bounds[0] = hi - u_prev
     bounds[1] = u_prev - lo

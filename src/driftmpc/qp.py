@@ -1,6 +1,6 @@
 """Dense primal active-set solver for strictly convex QPs.
 
-Solves  min 0.5 x'Hx + g'x  subject to  Ax <= b  from a feasible start.
+Solves  min 0.5 x'Hx + g'x  subject to  Ax <= b  from x = 0 (b >= 0).
 The problem sizes here (tens of variables, a few hundred rows) make a
 dense method with exact KKT certificates the right tool.  Variables are
 equilibrated internally (steering increments are radians, force increments
@@ -117,14 +117,11 @@ class _Setup(NamedTuple):
     Hs: np.ndarray    # D H D
     As: np.ndarray    # A D
     chol: np.ndarray  # upper Cholesky factor of Hs (lower triangle unspecified)
-    minor: int        # 0, or the order of the first leading minor of Hs that
-                      # is not positive, in which case chol is no factor
 
 
 def _setup(H: np.ndarray, A: np.ndarray) -> _Setup:
-    """Check H and A (finite, H with a strictly positive diagonal), then
-    equilibrate and factor.  A Hessian that is not positive definite is
-    recorded, not raised: solve_qp reports an infeasible start first."""
+    """Check H and A (finite, H positive definite with a strictly positive
+    diagonal), then equilibrate and factor."""
     if not (np.isfinite(H).all() and np.isfinite(A).all()):
         raise ConfigError(_NOT_FINITE)
     h_diag = np.diag(H)
@@ -133,39 +130,35 @@ def _setup(H: np.ndarray, A: np.ndarray) -> _Setup:
     d = 1.0 / np.sqrt(h_diag)
     Hs = H * d[:, None] * d[None, :]
     chol, minor = dpotrf(Hs, lower=0, clean=0)
-    return _Setup(d, Hs, A * d[None, :], chol, minor)
-
-
-def solve_qp(H: np.ndarray, g: np.ndarray, A: np.ndarray, b: np.ndarray,
-             x0: np.ndarray | None = None, setup: _Setup | None = None) -> QpResult:
-    """Minimize 0.5 x'Hx + g'x subject to Ax <= b, starting from x0 (zero
-    by default), which must be feasible.  H must be n x n, g and x0 of
-    length n, A m x n (or None for m = 0) and b of length m.  H, g, A and
-    x0 must be finite; b may hold +inf for an absent bound but no NaN.  H
-    must be positive definite.  setup, when given, is _setup(H, A) of these
-    H and A, which a caller solving many QPs on one (H, A) computes once;
-    solve_qp computes it otherwise."""
-    n = H.shape[0] if H.ndim else 0
-    if A is None:
-        A, b = np.zeros((0, n)), np.zeros(0)
-    m = A.shape[0] if A.ndim else 0
-    if (H.shape != (n, n) or np.shape(g) != (n,) or A.shape != (m, n)
-            or np.shape(b) != (m,) or (x0 is not None and np.shape(x0) != (n,))):
-        raise ConfigError(
-            f"QP shapes do not fit: H {H.shape}, g {np.shape(g)}, A {A.shape}, "
-            f"b {np.shape(b)}, x0 {None if x0 is None else np.shape(x0)}")
-    if not (np.isfinite(g).all() and not np.isnan(b).any()
-            and (x0 is None or np.isfinite(x0).all())):
-        raise ConfigError(_NOT_FINITE)
-    d, Hs, As, chol, minor = _setup(H, A) if setup is None else setup
-    gs = g * d
-
-    z = np.zeros(n) if x0 is None else np.asarray(x0, float) / d
-    if m and float(_amax(As.dot(z) - b)) > FEAS_TOL:
-        raise InfeasibleQpError("starting point violates the constraints")
     if minor:
         raise ConfigError(
             f"Hessian is not positive definite (leading minor {minor})")
+    return _Setup(d, Hs, A * d[None, :], chol)
+
+
+def solve_qp(H: np.ndarray, g: np.ndarray, A: np.ndarray, b: np.ndarray,
+             setup: _Setup | None = None) -> QpResult:
+    """Minimize 0.5 x'Hx + g'x subject to Ax <= b, starting from x = 0,
+    which must be feasible (b >= 0).  H must be n x n, g of length n, A
+    m x n and b of length m.  H, g and A must be finite; b may hold +inf
+    for an absent bound but no NaN.  H must be positive definite.  setup,
+    when given, is _setup(H, A) of these H and A, which a caller solving
+    many QPs on one (H, A) computes once; solve_qp computes it otherwise."""
+    n = H.shape[0] if H.ndim else 0
+    m = A.shape[0] if A.ndim else 0
+    if (H.shape != (n, n) or np.shape(g) != (n,) or A.shape != (m, n)
+            or np.shape(b) != (m,)):
+        raise ConfigError(
+            f"QP shapes do not fit: H {H.shape}, g {np.shape(g)}, A {A.shape}, "
+            f"b {np.shape(b)}")
+    if not (np.isfinite(g).all() and not np.isnan(b).any()):
+        raise ConfigError(_NOT_FINITE)
+    d, Hs, As, chol = _setup(H, A) if setup is None else setup
+    gs = g * d
+
+    z = np.zeros(n)
+    if m and float(_amin(b)) < -FEAS_TOL:
+        raise InfeasibleQpError("starting point violates the constraints")
 
     working: list[int] = []
     # row j of aw is the j-th working row of As and row j of hw its H^-1 a_i;

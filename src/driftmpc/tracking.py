@@ -33,7 +33,8 @@ class AptParams:
             raise ConfigError("look-ahead distance must be positive")
 
 
-def _clamp_radius(R: float, fallback_sign: float) -> float:
+def clamp_radius(R: float, fallback_sign: float) -> float:
+    """R with |R| clamped to [R_EQ_MIN, R_EQ_MAX], its sign kept (fallback_sign at 0)."""
     sign = math.copysign(1.0, R) if R != 0.0 else fallback_sign
     return sign * min(max(abs(R), R_EQ_MIN), R_EQ_MAX)
 
@@ -48,7 +49,7 @@ def apt_radius(errors: TrackingErrors, p: AptParams) -> float:
     R_r = errors.R_r
     R_r = math.copysign(min(abs(R_r), R_EQ_MAX), R_r) if R_r != 0.0 else R_EQ_MAX
     R_eq = p.w_r * R_r + p.w_e * errors.e_la
-    return _clamp_radius(R_eq, math.copysign(1.0, R_r))
+    return clamp_radius(R_eq, math.copysign(1.0, R_r))
 
 
 def steer_feedback(errors: TrackingErrors, p: AptParams,
@@ -92,4 +93,4 @@ def ppt_radius(pose: Pose, proj: Projection, path: PathTable, horizon_pts: int,
     # the costs match a per-radius loop bit for bit; einsum adds in another order
     cost = (offsets[:, None, :] @ offsets[:, :, None]).ravel()
     best_R = float(R[np.argmin(cost), 0])
-    return _clamp_radius(best_R, math.copysign(1.0, proj.R_r))
+    return clamp_radius(best_R, math.copysign(1.0, proj.R_r))

@@ -38,8 +38,8 @@ class VehicleParams:
     def __post_init__(self):
         if not all(map(math.isfinite, astuple(self))):
             raise ConfigError(f"vehicle parameters must be finite, got {astuple(self)}")
-        if min(self.m, self.I_z, self.a, self.b, self.B, self.C) <= 0:
-            raise ConfigError("m, I_z, a, b, B, C must all be positive")
+        if min(self.m, self.I_z, self.a, self.b, self.B, self.C, self.g) <= 0:
+            raise ConfigError("m, I_z, a, b, B, C, g must all be positive")
         if not 0.0 < self.mu <= 2.0:
             raise ConfigError(f"friction coefficient out of range: {self.mu}")
         # derived once per parameter set, as attributes rather than fields so

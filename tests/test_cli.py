@@ -193,7 +193,8 @@ def test_scenario_file_that_is_not_json_reported_without_traceback(tmp_path, cap
     ("mpc", "N_c", 19.0), ("mpc", "Q", [10.0, 1.0, math.nan, 1.0, 1.0]),
     ("limits", "F_max", math.nan), ("plant_params", "m", math.inf),
     ("model_params", "I_z", math.nan), ("apt", "k", math.nan), ("apt", "x_la", math.nan),
-    ("cost", "j_fail", math.nan), ("cost", "N_k", 184), ("path", "length", math.nan)])
+    ("cost", "j_fail", math.nan), ("cost", "N_k", 184), ("path", "length", math.nan),
+    ("cost", "eps", 0.0), ("model_params", "g", 0.0)])
 def test_malformed_scenario_section_reported_without_traceback(tmp_path, capsys,
                                                                section, key, value):
     data = scenario_to_dict(case_scenario(case=1, mode="ppt", T=1.0))

@@ -447,6 +447,9 @@ def test_warm_start_of_the_wrong_width_rejected(init):
 def test_cost_config_validation():
     with pytest.raises(ConfigError):
         CostConfig(lam=-1.0)
+    for eps in (0.0, -1e-12):  # episode_cost takes log(eps)
+        with pytest.raises(ConfigError, match="eps > 0"):
+            CostConfig(eps=eps)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -168,6 +168,17 @@ class TestRunEpisode:
         assert len(trace) > 50  # healthy on the first lobe
         assert np.isfinite(m.cost_J)
 
+    @pytest.mark.parametrize("kappa", [0.3, 0.001])
+    def test_initial_radius_is_clamped(self, kappa):
+        """The path's first radius, 3.33 m or 1000 m, lies outside [5, 500]
+        m; the episode starts at the clamped radius instead of raising."""
+        sc = case_scenario(case=1, mode="ppt", T=2.0, path=ClothoidSpec(kappa=kappa))
+        trace, _ = run_episode(sc)
+        if kappa == 0.3:  # drifts from R0 = 5 m
+            assert not trace.failed and len(trace) == 20
+        else:  # 500 m, as a straight start (kappa = 0)
+            assert trace.failure_reason == "speed out of range at step 0"
+
     def test_timestamps_uniform(self):
         sc = case_scenario(case=1, mode="ppt", T=4.0)
         trace, _ = run_episode(sc)

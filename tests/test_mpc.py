@@ -13,8 +13,8 @@ from driftmpc.equilibrium import solve_dep
 from driftmpc.errors import (ConfigError, DriftMpcError, FrictionCircleError,
                              InfeasibleQpError, UncertifiedQpError)
 from driftmpc.harness import case_scenario, run_episode
-from driftmpc.mpc import (AugmentedModel, MpcConfig, _constraints, _offsets,
-                          augment, condense, linearize, solve_mpc)
+from driftmpc.mpc import (AugmentedModel, MpcConfig, _offsets, augment, condense,
+                          linearize, solve_mpc)
 from driftmpc.qp import solve_qp
 from driftmpc.vehicle import ControlLimits, default_vehicle_params, dynamics
 
@@ -267,7 +267,7 @@ class TestSolveQp:
         H = np.eye(2)
         g = np.zeros(2)
         A = np.array([[1.0, 0.0]])
-        b = np.array([-1.0])  # zero start violates x0 <= -1
+        b = np.array([-1.0])  # the zero start violates x_0 <= -1
         with pytest.raises(InfeasibleQpError):
             solve_qp(H, g, A, b)
 
@@ -281,8 +281,8 @@ class TestSolveQp:
 
     @pytest.mark.parametrize("field, value", [
         ("H", np.ones((2, 3))), ("g", np.ones(3)), ("A", np.ones((2, 3))),
-        ("b", np.ones(1)),  # broadcast against both rows before the check
-        ("x0", np.zeros(3))], ids=["H", "g", "A", "b", "x0"])
+        ("b", np.ones(1))],  # broadcast against both rows before the check
+        ids=["H", "g", "A", "b"])
     def test_misshapen_data_is_a_classified_failure(self, field, value):
         data = {"H": np.eye(2), "g": np.ones(2), "A": np.eye(2), "b": np.ones(2),
                 field: value}
@@ -319,7 +319,7 @@ class TestSolveQp:
             g = rng.normal(size=n) * 10
             m_rows = int(rng.integers(1, 12))
             A = rng.normal(size=(m_rows, n))
-            b = rng.uniform(0.1, 2.0, size=m_rows)  # keeps x0 = 0 feasible
+            b = rng.uniform(0.1, 2.0, size=m_rows)  # keeps the zero start feasible
             res = solve_qp(H, g, A, b)
             kkt = res.kkt_residuals(H, g, A, b)
             assert kkt["stationarity"] < 1e-6
@@ -420,7 +420,7 @@ class TestSolveMpc:
         A = np.vstack([np.eye(nv), -np.eye(nv)])
         b = np.tile(rate, 2 * mpc_cfg.N_c)
         cold = solve_qp(H, g, A, b)
-        warm = solve_qp(H, g, A, b, x0=cold.x * 0.99)
+        warm = solve_qp(H, g, A, b, setup=qp._setup(H, A))
         obj = lambda x: 0.5 * x @ H @ x + g @ x
         assert abs(obj(cold.x) - obj(warm.x)) < 1e-8 * max(1.0, abs(obj(cold.x)))
 
@@ -513,10 +513,9 @@ def test_condense_per_block_on_drift_model(aug, dep, n_p, n_c):
 
 
 class TestConstraintCache:
-    def test_read_only(self, mpc_cfg, limits):
-        con = _constraints(mpc_cfg, limits)
+    def test_read_only(self, mpc_cfg):
         stacking = mpc._stacking(mpc_cfg)
-        for arr in (*con, *stacking):
+        for arr in stacking:
             assert not arr.flags.writeable
         with pytest.raises(ValueError):
             stacking.A[0, 0] = 2.0
@@ -524,19 +523,12 @@ class TestConstraintCache:
     @pytest.mark.parametrize("n_c", [1, 7, 19])
     def test_matches_per_step_construction(self, limits, n_c):
         cfg = MpcConfig(N_p=20, N_c=n_c)
-        u_prev = np.array([0.3, 2500.0])
-        A_ref, b_ref = constraints_per_step(cfg, limits, u_prev)
-        con, stacking = _constraints(cfg, limits), mpc._stacking(cfg)
+        A_ref, _ = constraints_per_step(cfg, limits, np.array([0.3, 2500.0]))
+        stacking = mpc._stacking(cfg)
         assert np.array_equal(stacking.A, A_ref)
-        assert np.array_equal(con.b_rate, b_ref[:4 * n_c])
         q_diag, R_bar = stacking.q_diag, stacking.R_bar
         assert np.array_equal(q_diag, np.tile(np.asarray(cfg.Q, float), cfg.N_p))
         assert np.array_equal(R_bar, np.diag(np.tile(np.asarray(cfg.R, float), n_c)))
-
-    def test_equal_limits_share_an_entry(self, mpc_cfg, limits):
-        twin = ControlLimits(**asdict(limits))
-        assert twin is not limits
-        assert _constraints(MpcConfig(), twin) is _constraints(mpc_cfg, limits)
 
     def test_rate_limits_reach_b(self, dep, hz, mpc_cfg, limits, monkeypatch):
         seen = []
@@ -721,7 +713,7 @@ class TestHorizonReuse:
 
     def test_model_and_horizon_arrays_are_read_only(self, hz):
         # the episode reuses them across steps
-        for arr in (*hz[1:-1], *hz.setup[:-1]):
+        for arr in (*hz[1:-1], *hz.setup):
             with pytest.raises(ValueError):
                 arr.flat[0] = 1.0
         with pytest.raises(ValueError):

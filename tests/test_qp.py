@@ -26,8 +26,7 @@ from driftmpc.equilibrium import solve_dep
 from driftmpc.errors import (ConfigError, DriftMpcError, InfeasibleQpError,
                              QpIterationLimitError)
 from driftmpc.harness import case_scenario, run_episode
-from driftmpc.mpc import (MpcConfig, _constraints, _stacking, augment, condense,
-                          linearize, solve_mpc)
+from driftmpc.mpc import MpcConfig, _stacking, augment, condense, linearize, solve_mpc
 from driftmpc.qp import QpResult, solve_qp
 from driftmpc.vehicle import default_limits, default_vehicle_params
 
@@ -45,7 +44,7 @@ def cho_factor(H):
     return c
 
 
-def solve_qp_oracle(H, g, A, b, x0=None, scaled_candidates=True, events=None):
+def solve_qp_oracle(H, g, A, b, scaled_candidates=True, events=None):
     """Oracle: solve_qp with the whole working set re-solved per iteration.
 
     scaled_candidates=False gives the absolute candidate test ap > FEAS_TOL,
@@ -58,7 +57,7 @@ def solve_qp_oracle(H, g, A, b, x0=None, scaled_candidates=True, events=None):
     Hs = H * d[:, None] * d[None, :]
     gs = g * d
     As = A * d[None, :]
-    z = np.zeros(n) if x0 is None else np.asarray(x0, float) / d
+    z = np.zeros(n)
     chol = cho_factor(Hs)
     working = []
     for it in range(1, qp.MAX_ITER + 1):
@@ -252,16 +251,18 @@ def mpc_shaped_qps(draw):
     n_c = draw(st.integers(1, 6))
     limits = default_limits()
     cfg = MpcConfig(N_p=n_c, N_c=n_c)
-    con = _constraints(cfg, limits)
+    lo = np.array([limits.delta_min, limits.F_min])
+    hi = np.array([limits.delta_max, limits.F_max])
     where = draw(st.tuples(*[st.sampled_from(["lo", "hi", "mid"])] * 2))
-    u_prev = np.array([{"lo": lo, "hi": hi, "mid": 0.5 * (lo + hi)}[w]
-                       for w, lo, hi in zip(where, con.lo, con.hi)])
+    u_prev = np.array([{"lo": lo_j, "hi": hi_j, "mid": 0.5 * (lo_j + hi_j)}[w]
+                       for w, lo_j, hi_j in zip(where, lo, hi)])
     nv = 2 * n_c
     S = rng.normal(size=(3 * nv, nv))
     H = 2.0 * (S.T @ S + np.diag(np.tile([1.0, 1e-6], n_c)))
     g = rng.normal(size=nv) * 10.0 ** rng.uniform(0.0, 4.0)
-    b = np.concatenate([con.b_rate, np.tile(con.hi - u_prev, n_c),
-                        np.tile(u_prev - con.lo, n_c)])
+    rate = [limits.d_delta_lim, limits.d_F_lim]
+    b = np.concatenate([np.tile(rate, 2 * n_c), np.tile(hi - u_prev, n_c),
+                        np.tile(u_prev - lo, n_c)])
     return H, g, _stacking(cfg).A, b
 
 
@@ -281,19 +282,6 @@ def test_relative_certificate_of_a_scaled_qp(instance, scale):
     H, g, A, b = instance
     res = solve_qp(scale * H, scale * g, A, b)
     assert res.relative_residual(scale * H, scale * g, A, b) < KKT_GATE
-
-
-@settings(max_examples=60, deadline=None)
-@given(degenerate_qps(), st.floats(0.0, 0.9))
-def test_feasible_start_matches_oracle(instance, shrink):
-    H, g, A, b = instance
-    try:
-        x0 = shrink * solve_qp_oracle(H, g, A, b).x
-    except DriftMpcError:
-        return
-    if (A @ x0 - b).max(initial=0.0) > qp.FEAS_TOL:
-        return  # rounding put the point between 0 and x* outside a tight row
-    assert outcome(solve_qp, H, g, A, b, x0) == outcome(solve_qp_oracle, H, g, A, b, x0)
 
 
 @functools.lru_cache(maxsize=None)
@@ -436,9 +424,9 @@ def test_polish_with_a_duplicated_working_row_takes_lstsq(monkeypatch):
 # Nothing solve_qp returns or raises may depend on which, and nothing may
 # carry over from one call to the next.
 
-def with_setup(H, g, A, b, x0=None):
+def with_setup(H, g, A, b):
     """solve_qp handed the set-up it would compute itself."""
-    return solve_qp(H, g, A, b, x0, setup=qp._setup(H, A))
+    return solve_qp(H, g, A, b, setup=qp._setup(H, A))
 
 
 def test_given_setup_matches_a_computed_one(recorded):
@@ -500,22 +488,22 @@ INVALID_MESSAGES = {
     "zero-diagonal": "Hessian diagonal must be strictly positive",
     "not-positive-definite": "Hessian is not positive definite (leading minor 2)",
     "infeasible-x0": "starting point violates the constraints",
-    "infeasible-x0-not-positive-definite": "starting point violates the constraints"}
+    "infeasible-x0-not-positive-definite": "Hessian is not positive definite (leading minor 2)"}
 
 
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 @pytest.mark.parametrize("case, error", [
     ("nan-H", ConfigError), ("nan-A", ConfigError), ("zero-diagonal", ConfigError),
     ("not-positive-definite", ConfigError), ("infeasible-x0", InfeasibleQpError),
-    ("infeasible-x0-not-positive-definite", InfeasibleQpError)])
+    ("infeasible-x0-not-positive-definite", ConfigError)])
 def test_invalid_data_raises_the_same_error_cold_and_warm(case, error, warm):
     """Each invalid input raises its class and message whether solve_qp
     sets the QP up itself (cold) or is handed _setup(H, A) (warm; _setup
-    raises the errors of H and A it finds); an infeasible start is
-    reported before a Hessian that is not positive definite."""
+    raises the errors of H and A it finds).  "infeasible-x0": a row that
+    the start x0 = 0 violates."""
     n = 3
     H, A = np.diag([2.0, 3.0, 4.0]) + 0.25, np.vstack([np.eye(n), -np.eye(n)])
-    g, b, x0 = np.ones(n), np.ones(2 * n), None
+    g, b = np.ones(n), np.ones(2 * n)
     if case == "nan-H":
         H[0, 2] = H[2, 0] = math.nan
     elif case == "nan-A":
@@ -525,7 +513,15 @@ def test_invalid_data_raises_the_same_error_cold_and_warm(case, error, warm):
     if "not-positive-definite" in case:
         H = _not_pd(H)
     if "infeasible" in case:
-        x0 = np.full(n, 2.0)
+        b[4] = -1.0  # x_1 >= 1
     with pytest.raises(error) as exc:
-        (with_setup if warm else solve_qp)(H, g, A, b, x0)
+        (with_setup if warm else solve_qp)(H, g, A, b)
     assert str(exc.value) == INVALID_MESSAGES[case]
+
+
+@pytest.mark.parametrize("H", [np.array([[1.0, 2.0], [2.0, 1.0]]),
+                               np.array([[1.0, 1.0], [1.0, 1.0]])],
+                         ids=["indefinite", "singular"])
+def test_setup_rejects_a_hessian_that_is_not_positive_definite(H):
+    with pytest.raises(ConfigError, match=r"not positive definite \(leading minor 2\)"):
+        qp._setup(H, np.eye(2))

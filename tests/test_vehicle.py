@@ -113,6 +113,9 @@ def test_params_validation():
         VehicleParams(m=-1, I_z=1, a=1, b=1, B=1, C=1, mu=1)
     with pytest.raises(ConfigError):
         VehicleParams(m=1, I_z=1, a=1, b=1, B=1, C=1, mu=2.5)
+    for g in (0.0, -9.81):  # the rear friction cap would be zero or negative
+        with pytest.raises(ConfigError, match="must all be positive"):
+            replace(default_vehicle_params(), g=g)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
