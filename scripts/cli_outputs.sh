@@ -2,9 +2,10 @@
 # Run a fixed set of driftmpc CLI commands and keep every file and every
 # stdout they produce under OUTDIR, plus a digest of the QP solver on the
 # instances recorded in perfbench/data, one of the equilibrium,
-# linearization and condensing kernels over a grid of operating points and
-# one of two Bayesian-optimization runs.  Run it on two trees and `diff -r` the two output directories to
-# check that a change leaves the outputs alone.
+# linearization and condensing kernels over a grid of operating points, one
+# of three closed-loop episodes and one of two Bayesian-optimization runs.
+# Run it on two trees and `diff -r` the two output directories to check
+# that a change leaves the outputs alone.
 #
 #     scripts/cli_outputs.sh OUTDIR
 #
@@ -178,4 +179,21 @@ plateau = bo_loop(bowl, bounds, m=20, N=60, seed=0, noise_var=1e-6)
 for name, res in (("quadratic", quadratic), ("plateau", plateau)):
     for k, (theta, cost) in enumerate(zip(res.thetas.tolist(), res.costs.tolist())):
         print(name, k, " ".join(map(float.hex, theta)), float.hex(cost))
+PY
+
+# trace_digest.txt, one line per step of three episodes holding the exact
+# bits of every trace cell, then a line with the failure reason: case-1
+# ppt, case-2 dep, and a case-1 almpc whose look-ahead weight flips the
+# turn direction twice before the episode fails at step 46
+python3 -B - > trace_digest.txt <<'PY'
+from driftmpc.harness import TRACE_COLUMNS, case_scenario, run_episode
+
+for name, case, mode, theta in (("ppt", 1, "ppt", None),
+                                ("case2_dep", 2, "dep", (-0.49, 0.99, 3.6)),
+                                ("almpc", 1, "almpc", (-0.52, 0.0, 5.0))):
+    trace, _ = run_episode(case_scenario(case=case, mode=mode), theta)
+    rows = zip(*(trace.columns[c].tolist() for c in TRACE_COLUMNS))
+    for k, row in enumerate(rows):
+        print(name, k, " ".join(map(float.hex, row)))
+    print(name, "failed:", trace.failure_reason if trace.failed else "no")
 PY

@@ -121,10 +121,11 @@ def _is_drift_branch(beta: float, r: float) -> bool:
 
 
 def solve_dep(delta_eq: float, R_eq: float, params: VehicleParams,
-              seed=None) -> DriftEquilibrium:
+              prev: DriftEquilibrium | None = None) -> DriftEquilibrium:
     """Solve for the drift equilibrium at a fixed steering angle and radius.
 
-    seed is an optional (V, beta, F_xr) guess; the default seed (and a
+    prev is an optional earlier equilibrium to start from, its sideslip
+    mirrored when the turn flips (drift switching); the default seed (and a
     couple of variations) are always tried after it.  Raises
     NoConvergenceError if no seed converges and GripBranchError if every
     converged solution is on the grip branch.
@@ -133,9 +134,11 @@ def solve_dep(delta_eq: float, R_eq: float, params: VehicleParams,
         raise ConfigError(
             f"|R_eq|={abs(R_eq):.2f} m outside [{R_EQ_MIN:g}, {R_EQ_MAX:g}] m")
     base = default_seed(R_eq, params)
-    seeds = ([] if seed is None else [seed]) + [
-        base, (base[0] * 1.6, base[1] * 1.4, base[2]),
-        (base[0] * 0.6, base[1] * 0.7, base[2] * 1.3)]
+    seeds = [base, (base[0] * 1.6, base[1] * 1.4, base[2]),
+             (base[0] * 0.6, base[1] * 0.7, base[2] * 1.3)]
+    if prev is not None:
+        beta = -prev.beta_eq if prev.R_eq * R_eq < 0 else prev.beta_eq
+        seeds.insert(0, (prev.V_eq, beta, prev.F_xr_eq))
     converged_grip = False
     for s in seeds:
         z = _newton(s, delta_eq, R_eq, params)
@@ -165,26 +168,23 @@ class SweepCell:
 def dep_sweep(delta_grid, R_grid, params: VehicleParams) -> list[SweepCell]:
     """Solve a grid of (delta, R) pairs with warm-started continuation.
 
-    Walks each steering column through the radius grid, seeding every solve
-    from its converged neighbour.  Failures are recorded per cell.
+    Walks each steering column through the radius grid, warm-starting every
+    solve from its converged neighbour.  Failures are recorded per cell.
     """
     if len(delta_grid) == 0 or len(R_grid) == 0:
         raise ConfigError("sweep grids must be non-empty")
     cells: list[SweepCell] = []
-    col_seed = None
+    col_first = None
     for delta in delta_grid:
-        warm = col_seed
-        col_first = None
+        prev = col_first
         for R in R_grid:
             try:
-                eq = solve_dep(float(delta), float(R), params, seed=warm)
-                cells.append(SweepCell(float(delta), float(R), eq))
-                warm = (eq.V_eq, eq.beta_eq, eq.F_xr_eq)
-                if col_first is None:
-                    col_first = warm
+                prev = solve_dep(float(delta), float(R), params, prev=prev)
+                cells.append(SweepCell(float(delta), float(R), prev))
             except (NoConvergenceError, GripBranchError, ConfigError):
                 cells.append(SweepCell(float(delta), float(R), None))
-        col_seed = col_first
+        # the next column starts from this column's first equilibrium
+        col_first = next((c.eq for c in cells[-len(R_grid):] if c.eq is not None), None)
     return cells
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from .bo import (BoResult, CostConfig, ThetaBounds, bo_loop, episode_cost,
                  failed_episode_cost)
 from .csvout import write_csv
-from .equilibrium import R_EQ_MAX, solve_dep
+from .equilibrium import solve_dep
 from .errors import (ConfigError, DriftMpcError, GripBranchError,
                      NoConvergenceError, OffPathError)
 from .mpc import MpcConfig, augment, condense, linearize, solve_mpc
@@ -31,7 +31,7 @@ from .vehicle import (MU_NOMINAL, MU_SLIPPERY, ControlInput, ControlLimits, Pose
 
 # mode -> components of theta = (delta_eq, w_r, w_e) it learns; the rest
 # stay at the scenario's apt values.  A mode runs the adaptive radius law
-# exactly when it learns the law's weights.
+# and its steering feedback exactly when it learns the law's weights.
 FREE_COMPONENTS = {"ppt": [], "apt": [1, 2], "dep": [0], "almpc": [0, 1, 2]}
 PLANT_SUBSTEPS = 10
 E_FAIL = 10.0          # m, lateral blow-up threshold
@@ -192,20 +192,22 @@ def run_episode(scenario: Scenario, theta=None,
     if path is None:
         path = scenario.build_path()
     mode = scenario.mode
+    use_apt_law = 1 in FREE_COMPONENTS[mode]
     delta_base, w_r, w_e = _theta_for_mode(mode, theta, scenario.apt)
-    apt = replace(scenario.apt, w_r=w_r, w_e=w_e)
+    # the episode's law; only the adaptive-law modes feed e_la to the steering
+    law = replace(scenario.apt, delta_eq_base=delta_base, w_r=w_r, w_e=w_e,
+                  k=scenario.apt.k if use_apt_law else 0.0)
     limits = scenario.limits
     mpc_cfg = scenario.mpc
     model_params = scenario.model_params
     plant_params = scenario.plant_params
     n_steps = scenario.n_steps
     radius_grid = default_radius_grid()
-    use_apt_law = 1 in FREE_COMPONENTS[mode]
 
     # initial condition: path origin, course aligned with the tangent, at the
     # stock equilibrium for the initial path radius, clamped like every later one
     kappa0 = float(path.kappa[0])
-    R0 = clamp_radius(1.0 / kappa0, 1.0) if kappa0 != 0 else R_EQ_MAX
+    R0 = clamp_radius(1.0 / kappa0 if kappa0 else math.inf, 1.0)
     eq0 = solve_dep(scenario.apt.delta_eq_base, R0, model_params)
     state = eq0.state()
     pose = Pose(float(path.x[0]), float(path.y[0]),
@@ -231,31 +233,21 @@ def run_episode(scenario: Scenario, theta=None,
             failed, reason = True, f"projection lost at step {k}"
             break
         hint = proj.index
-        errs = errors_from_projection(proj, pose, state.beta, apt.x_la)
+        errs = errors_from_projection(proj, pose, state.beta, law.x_la)
         if abs(errs.e) > E_FAIL:
             failed, reason = True, f"lateral error blow-up at step {k}"
             break
 
         if use_apt_law:
-            R_eq = apt_radius(errs, apt)
+            R_eq = apt_radius(errs, law)
         else:
             stride = max(1, int(round(state.V * mpc_cfg.dT / path.spacing)))
             R_eq = ppt_radius(pose, proj, path, mpc_cfg.N_p, radius_grid,
                               beta=state.beta, stride=stride)
-        # mirror the base steering with the turn direction (drift switching)
-        base_eff = delta_base if R_eq > 0 else -delta_base
-        if use_apt_law:
-            delta_hat = steer_feedback(errs, replace(apt, delta_eq_base=base_eff),
-                                       limits.delta_min, limits.delta_max)
-        else:
-            delta_hat = min(max(base_eff, limits.delta_min), limits.delta_max)
-
-        seed = (eq.V_eq, eq.beta_eq, eq.F_xr_eq)
-        if eq.R_eq * R_eq < 0:  # lobe flip: mirror the warm start
-            seed = (eq.V_eq, -eq.beta_eq, eq.F_xr_eq)
+        delta_hat = steer_feedback(errs, law, R_eq, limits.delta_min, limits.delta_max)
         dep_ok = True
         try:
-            eq = solve_dep(delta_hat, R_eq, model_params, seed=seed)
+            eq = solve_dep(delta_hat, R_eq, model_params, prev=eq)
         except (NoConvergenceError, GripBranchError, ConfigError):
             dep_ok = False  # hold the previous equilibrium
             dep_failures += 1
@@ -344,9 +336,10 @@ def tune(scenario: Scenario, init: int = 20, budget: int = 320,
         trace, metrics = run_episode(scenario, expand(theta_free), path=path)
         return tune_objective(trace, metrics, scenario)
 
-    starts = [pinned[free]]
-    if extra_init is not None:
-        starts.extend(np.asarray(t, float)[free] for t in extra_init)
+    extra = [np.asarray(t, float) for t in ([] if extra_init is None else extra_init)]
+    if any(t.shape != (3,) for t in extra):
+        raise ConfigError("extra_init entries must be 3-vectors (delta_eq, w_r, w_e)")
+    starts = [pinned[free]] + [t[free] for t in extra]
     result = bo_loop(runner, sub_bounds, m=init, N=budget, seed=seed,
                      init_thetas=starts)
     history = np.array([expand(t) for t in result.thetas])

@@ -179,8 +179,6 @@ def project(pose: Pose, path: PathTable,
         j, w = i - 1, 1.0 + t
     if j >= len(path) - 1:
         j, w = len(path) - 2, 1.0
-    if j < 0:
-        j, w = 0, 0.0
     rx = path.x[j] * (1.0 - w) + path.x[j + 1] * w
     ry = path.y[j] * (1.0 - w) + path.y[j + 1] * w
     rphi = path.phi[j] + wrap_angle(path.phi[j + 1] - path.phi[j]) * w

@@ -2,8 +2,8 @@
 
 Two radius laws are provided: the adaptive law driven by the look-ahead
 error, and the predictive baseline that fits candidate circles to the
-upcoming path.  The steering feedback shifts the equilibrium steering angle
-proportionally to the look-ahead error.
+upcoming path.  The steering feedback mirrors the base steering angle with
+the turn direction and shifts it proportionally to the look-ahead error.
 """
 from __future__ import annotations
 
@@ -52,11 +52,13 @@ def apt_radius(errors: TrackingErrors, p: AptParams) -> float:
     return clamp_radius(R_eq, math.copysign(1.0, R_r))
 
 
-def steer_feedback(errors: TrackingErrors, p: AptParams,
+def steer_feedback(errors: TrackingErrors, p: AptParams, R_eq: float,
                    delta_min: float = -math.inf,
                    delta_max: float = math.inf) -> float:
-    """Adjusted steering equilibrium: base plus look-ahead feedback."""
-    delta_hat = p.delta_eq_base + p.k * errors.e_la
+    """Adjusted steering equilibrium: the base, negated unless R_eq > 0
+    (drift switching), plus look-ahead feedback."""
+    base = p.delta_eq_base if R_eq > 0 else -p.delta_eq_base
+    delta_hat = base + p.k * errors.e_la
     return min(max(delta_hat, delta_min), delta_max)
 
 

@@ -167,9 +167,16 @@ class TestSolveDep:
             assert abs(eq.F_xr_eq) <= params.mu * F_zr
 
     def test_determinism(self, params):
-        a = solve_dep(-0.52, 40.0, params, seed=(12.0, -0.4, 4000.0))
-        b = solve_dep(-0.52, 40.0, params, seed=(12.0, -0.4, 4000.0))
+        prev = solve_dep(-0.45, 30.0, params)
+        a = solve_dep(-0.52, 40.0, params, prev=prev)
+        b = solve_dep(-0.52, 40.0, params, prev=prev)
         assert (a.V_eq, a.beta_eq, a.F_xr_eq) == (b.V_eq, b.beta_eq, b.F_xr_eq)
+
+    def test_warm_start_is_tried_first(self, params):
+        # started from an equilibrium of the same cell, Newton converges at
+        # once and returns that equilibrium's bits
+        eq = solve_dep(-0.52, 40.0, params)
+        assert solve_dep(-0.52, 40.0, params, prev=eq) == eq
 
     def test_radius_domain_guard(self, params):
         with pytest.raises(ConfigError):
@@ -201,6 +208,27 @@ class TestSolveDep:
         assert abs(state.V - eq.V_eq) < 1e-4
         assert abs(state.beta - eq.beta_eq) < 1e-4
         assert abs(state.r - eq.r_eq) < 1e-4
+
+
+def hexes(eq: DriftEquilibrium) -> list[str]:
+    return [float.hex(x) for x in (eq.V_eq, eq.beta_eq, eq.r_eq, eq.delta_eq,
+                                   eq.F_xr_eq, eq.R_eq)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(-0.8, -0.2), st.floats(8.0, 120.0), st.sampled_from([-1.0, 1.0]))
+def test_turn_flip_warm_start_is_the_exact_mirror(delta, R, sign):
+    """Drift switching: warm-started from an equilibrium of the mirrored
+    cell, solve_dep returns that equilibrium mirrored, bit for bit."""
+    params = default_vehicle_params()
+    delta, R = sign * delta, sign * R
+    try:
+        eq = solve_dep(delta, R, params)
+    except (NoConvergenceError, GripBranchError):
+        return
+    flipped = solve_dep(-delta, -R, params, prev=eq)
+    assert hexes(flipped) == hexes(DriftEquilibrium(
+        eq.V_eq, -eq.beta_eq, -eq.r_eq, -eq.delta_eq, eq.F_xr_eq, -eq.R_eq))
 
 
 class TestDepSweep:

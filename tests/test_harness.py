@@ -422,6 +422,12 @@ class TestTune:
         tune(sc, init=3, budget=5, seed=7).history_csv(f2)
         assert f1.read_bytes() == f2.read_bytes()
 
+    @pytest.mark.parametrize("warm", [[-0.5, 1.0], [-0.5, 1.0, 2.0, 0.0]])
+    def test_extra_init_must_be_three_vectors(self, warm):
+        sc = case_scenario(case=1, mode="dep", T=1.0)
+        with pytest.raises(ConfigError, match="3-vectors"):
+            tune(sc, init=2, budget=3, extra_init=[warm])
+
     def test_ppt_mode_not_tunable(self):
         sc = case_scenario(case=1, mode="ppt")
         with pytest.raises(ConfigError):

@@ -60,27 +60,34 @@ class TestAptRadius:
 class TestSteerFeedback:
     def test_zero_error_returns_base(self):
         p = AptParams(w_r=1.0, w_e=0.0, k=-0.25, delta_eq_base=-0.52)
-        assert steer_feedback(errs(e_la=0.0), p) == -0.52
+        assert steer_feedback(errs(e_la=0.0), p, 40.0) == -0.52
 
     def test_proportional_fixture(self):
         p = AptParams(w_r=1.0, w_e=0.0, k=0.25, delta_eq_base=-0.52)
-        assert math.isclose(steer_feedback(errs(e_la=0.4), p), -0.42, abs_tol=1e-12)
+        assert math.isclose(steer_feedback(errs(e_la=0.4), p, 40.0), -0.42, abs_tol=1e-12)
 
     def test_gain_disabled(self):
         p = AptParams(w_r=1.0, w_e=0.0, k=0.0, delta_eq_base=-0.52)
         for e_la in (-2.0, 2.0):
-            assert steer_feedback(errs(e_la=e_la), p) == -0.52
+            assert steer_feedback(errs(e_la=e_la), p, 40.0) == -0.52
 
     def test_clamped_to_limits(self):
         p = AptParams(w_r=1.0, w_e=0.0, k=0.25, delta_eq_base=-0.52)
-        assert steer_feedback(errs(e_la=10.0), p, -1.0, 1.0) == 1.0
-        assert steer_feedback(errs(e_la=-10.0), p, -1.0, 1.0) == -1.0
+        assert steer_feedback(errs(e_la=10.0), p, 40.0, -1.0, 1.0) == 1.0
+        assert steer_feedback(errs(e_la=-10.0), p, 40.0, -1.0, 1.0) == -1.0
 
     def test_affine_in_lookahead_error(self):
         p = AptParams(w_r=1.0, w_e=0.0, k=-0.25, delta_eq_base=-0.52)
-        vals = [steer_feedback(errs(e_la=x), p) for x in (-1.0, 0.0, 1.0)]
+        vals = [steer_feedback(errs(e_la=x), p, 40.0) for x in (-1.0, 0.0, 1.0)]
         assert math.isclose(vals[2] - vals[1], vals[1] - vals[0], abs_tol=1e-15)
 
+    def test_right_turn_mirrors_the_base(self):
+        # drift switching: a right turn counter-steers the other way; the
+        # feedback term keeps its sign, as e_la is signed by the path
+        p = AptParams(w_r=1.0, w_e=0.0, k=0.25, delta_eq_base=-0.52)
+        assert steer_feedback(errs(e_la=0.0), p, -40.0) == 0.52
+        assert math.isclose(steer_feedback(errs(e_la=0.4), p, -40.0), 0.62, abs_tol=1e-12)
+        assert steer_feedback(errs(e_la=-10.0), p, -40.0, -1.0, 1.0) == -1.0
 
 class TestPptRadius:
     def test_true_radius_recovered_on_circle(self):
