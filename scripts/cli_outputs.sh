@@ -4,12 +4,16 @@
 # instances recorded in perfbench/data, one of the equilibrium,
 # linearization and condensing kernels over a grid of operating points, one
 # of three closed-loop episodes and one of two Bayesian-optimization runs.
-# Run it on two trees and `diff -r` the two output directories to check
-# that a change leaves the outputs alone.
+# Last it checks the SHA-256 of every output against the list committed
+# next to it, scripts/cli_outputs.sha256, and exits 1 naming every file that
+# differs.  The list holds for the Python, NumPy, SciPy and OpenBLAS of its
+# first line; on other versions, or for a change that moves an output, run
+# the script on two trees and `diff -r` the two output directories.
 #
 #     scripts/cli_outputs.sh OUTDIR
 #
-# The package is taken from the src/ directory next to this script.
+# The run's own list is written next to OUTDIR, as OUTDIR.sha256.  The
+# package is taken from the src/ directory next to this script.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -19,6 +23,7 @@ fi
 root=$(cd "$(dirname "$0")/.." && pwd)
 mkdir -p "$1"
 cd "$1"
+out=$(pwd)
 export PYTHONPATH="$root/src${PYTHONPATH:+:$PYTHONPATH}"
 
 # run NAME [EXPECTED_STATUS] -- ARGS...: stdout goes to NAME.txt
@@ -196,4 +201,42 @@ for name, case, mode, theta in (("ppt", 1, "ppt", None),
     for k, row in enumerate(rows):
         print(name, k, " ".join(map(float.hex, row)))
     print(name, "failed:", trace.failure_reason if trace.failed else "no")
+PY
+
+# the SHA-256 list of every file under OUTDIR, headed by the versions it
+# ran on, in sha256sum's format; compared with the committed list
+python3 -B - "$root/scripts/cli_outputs.sha256" "$out.sha256" <<'PY'
+import hashlib
+import pathlib
+import sys
+
+import numpy
+import scipy
+
+
+def blas(config):
+    dep = config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"{dep['name']} {dep['version']}"
+
+
+head = (f"# Python {sys.version.split()[0]}, NumPy {numpy.__version__} "
+        f"({blas(numpy.show_config)}), SciPy {scipy.__version__} "
+        f"({blas(scipy.show_config)})")
+lines = [f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.as_posix()}"
+         for p in sorted(pathlib.Path(".").rglob("*")) if p.is_file()]
+pathlib.Path(sys.argv[2]).write_text("\n".join([head] + lines) + "\n")
+
+listed = pathlib.Path(sys.argv[1])
+if not listed.is_file():
+    sys.exit(f"no list at {listed}; this run's list is {sys.argv[2]}")
+want_head, *want_lines = listed.read_text().splitlines()
+want = dict(line.split("  ", 1)[::-1] for line in want_lines)
+got = dict(line.split("  ", 1)[::-1] for line in lines)
+differ = sorted(name for name in want.keys() | got.keys() if want.get(name) != got.get(name))
+if differ:
+    print(f"{len(differ)} of {len(want.keys() | got.keys())} outputs differ "
+          f"from {listed}:", *differ, sep="\n  ", file=sys.stderr)
+    print(f"the list was made on {want_head[2:]}\nthis run is on {head[2:]}",
+          file=sys.stderr)
+    sys.exit(1)
 PY

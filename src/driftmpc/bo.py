@@ -165,14 +165,15 @@ def bo_loop(runner, bounds: ThetaBounds, m: int, N: int, seed: int,
     """Space-filling initialization followed by the EI acquisition cycle.
 
     runner maps a parameter vector to its observed episode cost.  Optional
-    init_thetas are evaluated first and count toward the m initial points.
+    init_thetas are evaluated first and count toward the m initial points;
+    None and an empty list ask for none.
     Fully deterministic for a fixed (seed, configuration).
     """
     if m < 2 or N < m:
         raise ConfigError("need m >= 2 and N >= m")
     thetas: list[np.ndarray] = []
     costs: list[float] = []
-    if init_thetas is not None:
+    if init_thetas is not None and np.size(init_thetas):
         init_arr = np.atleast_2d(np.asarray(init_thetas, float))
         if init_arr.shape[1:] != (bounds.dim,):
             raise ConfigError(f"warm-start points need {bounds.dim} components, "

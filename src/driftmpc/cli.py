@@ -12,7 +12,8 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from .csvout import write_csv
-from .equilibrium import R_EQ_MIN, dep_sweep, solve_dep, sweep_to_csv
+from .equilibrium import (R_EQ_MAX, R_EQ_MIN, check_radius, dep_sweep, solve_dep,
+                          sweep_to_csv)
 from .errors import DriftMpcError
 from .harness import (FREE_COMPONENTS, EpisodeTrace, Scenario, case_scenario,
                       report, run_episode, scenario_from_file, scenario_to_file,
@@ -24,11 +25,13 @@ from .vehicle import MU_NOMINAL, default_vehicle_params
 def _cmd_dep(args) -> int:
     params = default_vehicle_params(mu=args.mu)
     if args.sweep:
+        check_radius(args.radius)
         deltas = np.linspace(args.delta - 0.1, args.delta + 0.1, 5)
-        # radii from 0.5 |R| to 1.5 |R|, all turning the way R does
+        # radii from 0.5 |R| to 1.5 |R| within the solver's range, all
+        # turning the way R does
         size = abs(args.radius)
         radii = math.copysign(1.0, args.radius) * np.linspace(
-            max(0.5 * size, R_EQ_MIN), 1.5 * size, 7)
+            max(0.5 * size, R_EQ_MIN), min(1.5 * size, R_EQ_MAX), 7)
         cells = dep_sweep(deltas, radii, params)
         sweep_to_csv(cells, args.out)
         n_ok = sum(c.eq is not None for c in cells)

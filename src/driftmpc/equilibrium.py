@@ -120,6 +120,13 @@ def _is_drift_branch(beta: float, r: float) -> bool:
     return abs(beta) > DRIFT_BETA_MIN and beta * r < 0.0
 
 
+def check_radius(R_eq: float) -> None:
+    """Raise ConfigError unless R_EQ_MIN <= |R_eq| <= R_EQ_MAX."""
+    if not R_EQ_MIN <= abs(R_eq) <= R_EQ_MAX:
+        raise ConfigError(
+            f"|R_eq|={abs(R_eq):.2f} m outside [{R_EQ_MIN:g}, {R_EQ_MAX:g}] m")
+
+
 def solve_dep(delta_eq: float, R_eq: float, params: VehicleParams,
               prev: DriftEquilibrium | None = None) -> DriftEquilibrium:
     """Solve for the drift equilibrium at a fixed steering angle and radius.
@@ -130,9 +137,7 @@ def solve_dep(delta_eq: float, R_eq: float, params: VehicleParams,
     NoConvergenceError if no seed converges and GripBranchError if every
     converged solution is on the grip branch.
     """
-    if not R_EQ_MIN <= abs(R_eq) <= R_EQ_MAX:
-        raise ConfigError(
-            f"|R_eq|={abs(R_eq):.2f} m outside [{R_EQ_MIN:g}, {R_EQ_MAX:g}] m")
+    check_radius(R_eq)
     base = default_seed(R_eq, params)
     seeds = [base, (base[0] * 1.6, base[1] * 1.4, base[2]),
              (base[0] * 0.6, base[1] * 0.7, base[2] * 1.3)]

@@ -4,6 +4,12 @@ Inputs are normalized to the unit box inside the model (the tuned
 parameters span scales from ~0.1 rad to ~10), with per-dimension
 lengthscales living in the normalized space.  Hyperparameters are chosen
 by multi-start maximization of the log marginal likelihood.
+
+gp_fit and gp_predict_batch check their inputs once at entry, so the
+Cholesky factorization and solves call LAPACK directly, as qp does: the
+potrf/potrs that scipy.linalg.cho_factor/cho_solve run (lower factor),
+without their per-call checks.  OpenBLAS's potrf does not flag NaN or inf,
+so the entry checks reject non-finite inputs before they reach it.
 """
 from __future__ import annotations
 
@@ -11,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import ConfigError
 
@@ -64,7 +70,7 @@ class GpModel:
     hi: np.ndarray
     sigma_eta2: float         # signal variance
     lengthscales: np.ndarray  # (d,) in normalized space
-    chol: tuple               # cho_factor of K + noise I (+ jitter)
+    chol: np.ndarray          # lower Cholesky factor of K + noise I (+ jitter)
     alpha: np.ndarray         # (K + noise I)^-1 y
 
     def normalize(self, thetas: np.ndarray) -> np.ndarray:
@@ -84,17 +90,17 @@ def _merge_duplicates(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 def _posterior(X: np.ndarray, y: np.ndarray, ell: np.ndarray, sigma_eta2: float,
                noise_var: float):
-    """cho_factor of K + noise I (jittered if need be) and (K + noise I)^-1 y."""
+    """Lower Cholesky factor of K + noise I (jittered if need be) and
+    (K + noise I)^-1 y."""
     K_noisy = matern52_matrix(X, X, sigma_eta2, ell) + noise_var * np.eye(len(X))
     jitter = 0.0
     for _ in range(8):
-        try:
-            chol = cho_factor(K_noisy + jitter * np.eye(len(X)), lower=True)
-            return chol, cho_solve(chol, y)
-        except np.linalg.LinAlgError:
-            jitter = max(jitter * 10.0, 1e-12 * sigma_eta2)
-            if jitter > MAX_JITTER_FACTOR * sigma_eta2:
-                break
+        chol, minor = dpotrf(K_noisy + jitter * np.eye(len(X)), lower=1, clean=0)
+        if not minor:
+            return chol, dpotrs(chol, y, lower=1)[0]
+        jitter = max(jitter * 10.0, 1e-12 * sigma_eta2)
+        if jitter > MAX_JITTER_FACTOR * sigma_eta2:
+            break
     raise ConfigError("kernel matrix is not positive definite even with jitter")
 
 
@@ -106,7 +112,7 @@ def _neg_lml(log_params: np.ndarray, X: np.ndarray, y: np.ndarray,
                                  math.exp(log_params[d]), noise_var)
     except ConfigError:
         return 1e12
-    logdet = 2.0 * float(np.log(np.diag(chol[0])).sum())
+    logdet = 2.0 * float(np.log(np.diag(chol)).sum())
     return float(0.5 * y @ alpha + 0.5 * logdet + 0.5 * len(y) * math.log(2 * math.pi))
 
 
@@ -114,19 +120,28 @@ def gp_fit(dataset: GpDataset, lo, hi, *, seed: int = 0,
            hypers: tuple | None = None) -> GpModel:
     """Fit the GP: normalize inputs, choose hyperparameters, cache the factor.
 
-    hypers, when given as (lengthscales, sigma_eta2), skips the
-    marginal-likelihood search (used when refitting between scheduled
-    hyperparameter updates).
+    lo and hi, finite with lo < hi, are the box the inputs are normalized
+    to.  hypers, when given as (lengthscales, sigma_eta2), finite and
+    positive, skips the marginal-likelihood search (used when refitting
+    between scheduled hyperparameter updates).
     """
     lo = np.asarray(lo, float)
     hi = np.asarray(hi, float)
     if len(dataset.thetas) < 2:
         raise ConfigError("need at least 2 observations to fit")
+    d = dataset.thetas.shape[1]
+    if not (lo.shape == hi.shape == (d,) and np.isfinite(lo).all()
+            and np.isfinite(hi).all() and (lo < hi).all()):
+        raise ConfigError(f"the box needs finite lo < hi of length {d}, got "
+                          f"lo {lo.tolist()}, hi {hi.tolist()}")
     X, y = _merge_duplicates((dataset.thetas - lo) / (hi - lo), dataset.costs)
-    d = X.shape[1]
 
     if hypers is not None:
-        ell, sigma_eta2 = np.asarray(hypers[0], float), hypers[1]
+        ell, sigma_eta2 = np.asarray(hypers[0], float), float(hypers[1])
+        if not (np.isfinite(ell).all() and (ell > 0.0).all()
+                and math.isfinite(sigma_eta2) and sigma_eta2 > 0.0):
+            raise ConfigError(f"hyperparameters must be finite and positive, got "
+                              f"lengthscales {ell.tolist()}, sigma_eta2 {sigma_eta2}")
     else:
         from scipy.optimize import minimize  # imported on first use: only the tuner needs it
         var_y = float(np.var(y)) or 1.0  # constant data: unit signal scale
@@ -162,9 +177,11 @@ def gp_predict(model: GpModel, theta) -> tuple[float, float]:
 
 def gp_predict_batch(model: GpModel, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Xs = model.normalize(thetas)
+    if not np.isfinite(Xs).all():
+        raise ConfigError("prediction points must be finite")
     k_star = matern52_matrix(Xs, model.x_norm, model.sigma_eta2, model.lengthscales)
     mu = k_star @ model.alpha
-    v = cho_solve(model.chol, k_star.T)
+    v = dpotrs(model.chol, k_star.T, lower=1)[0]
     var = model.sigma_eta2 - np.einsum("ij,ji->i", k_star, v)
     var = np.where(var < 1e-12, 0.0, var)
     return mu, var

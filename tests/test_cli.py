@@ -8,7 +8,7 @@ import pytest
 
 from driftmpc.bo import CostConfig
 from driftmpc.cli import build_parser, main
-from driftmpc.equilibrium import R_EQ_MIN
+from driftmpc.equilibrium import R_EQ_MAX, R_EQ_MIN
 from driftmpc.harness import (FREE_COMPONENTS, EpisodeTrace, case_scenario,
                               run_episode, scenario_to_dict, scenario_to_file)
 
@@ -29,7 +29,7 @@ def test_dep_sweep(tmp_path, capsys):
     assert len(lines) == 36  # 5 x 7 grid
 
 
-@pytest.mark.parametrize("radius", [-40.0, 40.0, -6.0])
+@pytest.mark.parametrize("radius", [-40.0, 40.0, -6.0, 400.0])
 def test_dep_sweep_radii_keep_the_turn_direction(tmp_path, radius):
     out = tmp_path / "sweep.csv"
     assert main(["dep", "--delta", str(-math.copysign(0.52, radius)),
@@ -38,7 +38,16 @@ def test_dep_sweep_radii_keep_the_turn_direction(tmp_path, radius):
     assert np.all(np.sign(R) == math.copysign(1.0, radius))
     magnitudes = np.unique(np.abs(R))
     assert np.allclose(magnitudes, np.linspace(max(0.5 * abs(radius), R_EQ_MIN),
-                                               1.5 * abs(radius), 7))
+                                               min(1.5 * abs(radius), R_EQ_MAX), 7))
+
+
+def test_dep_sweep_outside_the_radius_range_rejected(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert main(["dep", "--delta", "-0.52", "--radius", "3",
+                 "--sweep", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "driftmpc: ConfigError: |R_eq|=3.00 m outside [5, 500] m\n"
+    assert not out.exists()
 
 
 def test_path_export(tmp_path):

@@ -1,11 +1,14 @@
 import math
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
 
+from driftmpc import gp
 from driftmpc.bo import (CostConfig, ThetaBounds, _ei_batch, acquire_next, bo_loop,
                          episode_cost, expected_improvement)
 from driftmpc.errors import ConfigError
@@ -43,6 +46,42 @@ def naive_posterior(X, y, Xs, sigma_eta2, ell, noise):
     mu = ks @ Kinv @ y
     var = sigma_eta2 - np.einsum("ij,jk,ik->i", ks, Kinv, ks)
     return mu, var
+
+
+def oracle_posterior(X, y, ell, sigma_eta2, noise_var):
+    """gp._posterior in its cho_factor/cho_solve form, the oracle of its bits."""
+    K_noisy = matern52_matrix(X, X, sigma_eta2, ell) + noise_var * np.eye(len(X))
+    jitter = 0.0
+    for _ in range(8):
+        try:
+            chol = cho_factor(K_noisy + jitter * np.eye(len(X)), lower=True)
+            return chol[0], cho_solve(chol, y)
+        except np.linalg.LinAlgError:
+            jitter = max(jitter * 10.0, 1e-12 * sigma_eta2)
+            if jitter > gp.MAX_JITTER_FACTOR * sigma_eta2:
+                break
+    raise ConfigError("kernel matrix is not positive definite even with jitter")
+
+
+def oracle_predict_batch(model, thetas):
+    """gp_predict_batch in its cho_solve form."""
+    Xs = model.normalize(thetas)
+    k_star = matern52_matrix(Xs, model.x_norm, model.sigma_eta2, model.lengthscales)
+    v = cho_solve((model.chol, True), k_star.T)
+    var = model.sigma_eta2 - np.einsum("ij,ji->i", k_star, v)
+    return k_star @ model.alpha, np.where(var < 1e-12, 0.0, var)
+
+
+def fit_or_error(*args, **kwargs):
+    try:
+        return gp_fit(*args, **kwargs)
+    except ConfigError as exc:
+        return str(exc)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestMatern:
@@ -148,6 +187,81 @@ class TestGpFit:
     def test_bad_noise_rejected(self, noise):
         with pytest.raises(ConfigError, match="noise_var"):
             GpDataset(BOUNDS.sample(4, seed=5), np.arange(4.0), noise_var=noise)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 60), seed=st.integers(0, 2**32 - 1),
+           scatter=st.floats(0.0, 1.0),
+           noise=st.one_of(st.just(0.0), st.floats(0.0, 1e-4)),
+           hypers=st.one_of(st.none(), st.tuples(
+               st.lists(st.floats(0.05, 3.0), min_size=3, max_size=3),
+               st.floats(0.01, 10.0))))
+    def test_lapack_route_matches_cho_factor(self, n, seed, scatter, noise, hypers):
+        """Every bit of the fit (hyperparameter search included), the
+        factor, alpha and the predictions equals the cho_factor/cho_solve
+        route's."""
+        rng = np.random.default_rng(seed)
+        thetas = BOUNDS.lo + rng.uniform(size=(n, 3)) * (BOUNDS.hi - BOUNDS.lo)
+        y = np.sin(3.0 * thetas[:, 0]) + thetas[:, 1] ** 2 \
+            + scatter * rng.standard_normal(n)
+        ds = GpDataset(thetas, y, noise_var=noise)
+        got = fit_or_error(ds, BOUNDS.lo, BOUNDS.hi, seed=seed, hypers=hypers)
+        with mock.patch.object(gp, "_posterior", oracle_posterior):
+            want = fit_or_error(ds, BOUNDS.lo, BOUNDS.hi, seed=seed, hypers=hypers)
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert isinstance(got.chol, np.ndarray)
+        for name in ("x_norm", "lengthscales", "sigma_eta2", "chol", "alpha"):
+            assert same_bits(getattr(got, name), getattr(want, name)), name
+        pts = np.vstack([thetas, BOUNDS.sample(16, seed=seed % 1000)])
+        for a, b in zip(gp_predict_batch(got, pts), oracle_predict_batch(want, pts)):
+            assert same_bits(a, b)
+
+    @pytest.mark.parametrize("hypers", [(np.array([0.3, 0.3, 0.3]), 1.0), None])
+    def test_jitter_retry_gives_a_finite_posterior(self, hypers):
+        # two inputs 1e-10 apart make K singular to working precision at
+        # noise 0, so the first factor fails and a jittered one is used
+        thetas = np.array([[-0.2, 1.0, 0.0], [-0.2 + 1e-10, 1.0, 0.0], [0.1, 0.5, 2.0]])
+        ds = GpDataset(thetas, np.array([1.0, 1.5, -0.3]), noise_var=0.0)
+        minors, dpotrf = [], gp.dpotrf
+
+        def recording_dpotrf(*args, **kwargs):
+            chol, minor = dpotrf(*args, **kwargs)
+            minors.append(minor)
+            return chol, minor
+
+        with mock.patch.object(gp, "dpotrf", recording_dpotrf):
+            model = gp_fit(ds, BOUNDS.lo, BOUNDS.hi, hypers=hypers)
+        assert minors[0] > 0 and minors[-1] == 0
+        mu, var = gp_predict_batch(model, np.vstack([thetas, BOUNDS.sample(8, seed=1)]))
+        assert np.isfinite(model.alpha).all()
+        assert np.isfinite(mu).all() and np.isfinite(var).all() and (var >= 0.0).all()
+        with mock.patch.object(gp, "_posterior", oracle_posterior):
+            want = gp_fit(ds, BOUNDS.lo, BOUNDS.hi, hypers=hypers)
+        assert same_bits(model.chol, want.chol) and same_bits(model.alpha, want.alpha)
+
+    @pytest.mark.parametrize("case", ["zero lengthscale", "nan signal variance",
+                                      "lo == hi", "nan point"])
+    def test_non_finite_kernel_inputs_rejected(self, case):
+        # each of these once reached scipy's finiteness scan, which raised
+        # ValueError; nothing non-finite may reach LAPACK's potrf/potrs
+        ds = GpDataset(BOUNDS.sample(6, seed=5), np.arange(6.0))
+        lo, hi = BOUNDS.lo.copy(), BOUNDS.hi.copy()
+        hypers = (np.array([0.4, 0.4, 0.4]), 1.0)
+        point = np.array([[0.0, 1.0, 0.0]])
+        if case == "nan point":
+            point[0, 1] = math.nan
+            with pytest.raises(ConfigError, match="points"):
+                gp_predict_batch(gp_fit(ds, lo, hi, hypers=hypers), point)
+            return
+        if case == "zero lengthscale":
+            hypers = (np.array([0.4, 0.0, 0.4]), 1.0)
+        elif case == "nan signal variance":
+            hypers = (hypers[0], math.nan)
+        else:
+            hi[1] = lo[1]
+        with pytest.raises(ConfigError):
+            gp_fit(ds, lo, hi, hypers=hypers)
 
     def test_zero_noise_accepted(self):
         thetas = BOUNDS.sample(4, seed=5)
@@ -409,6 +523,15 @@ class TestBoLoop:
         start = np.array([-0.52, 1.0, 0.0])
         bo_loop(runner, BOUNDS, m=4, N=5, seed=1, init_thetas=[start])
         assert np.array_equal(seen[0], start)
+
+    def test_empty_warm_start_list_asks_for_none(self):
+        def runner(t):
+            return float(np.sum(t ** 2))
+
+        empty = bo_loop(runner, BOUNDS, m=4, N=6, seed=1, init_thetas=[])
+        none = bo_loop(runner, BOUNDS, m=4, N=6, seed=1)
+        assert same_bits(empty.thetas, none.thetas)
+        assert same_bits(empty.costs, none.costs)
 
     def test_invalid_budget(self):
         with pytest.raises(ConfigError):
