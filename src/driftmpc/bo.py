@@ -180,9 +180,10 @@ def bo_loop(runner, bounds: ThetaBounds, m: int, N: int, seed: int,
                               f"got an array of shape {init_arr.shape}")
         if len(init_arr) > m:
             raise ConfigError("more warm-start points than the initial budget")
-        for t in init_arr:
+        for t in init_arr:  # every point before the first (costly) run
             if not bounds.contains(t):
                 raise ConfigError(f"initial point {t} outside bounds")
+        for t in init_arr:
             thetas.append(t.copy())
             costs.append(float(runner(t)))
     n_fill = m - len(thetas)

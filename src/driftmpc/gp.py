@@ -9,7 +9,8 @@ gp_fit and gp_predict_batch check their inputs once at entry, so the
 Cholesky factorization and solves call LAPACK directly, as qp does: the
 potrf/potrs that scipy.linalg.cho_factor/cho_solve run (lower factor),
 without their per-call checks.  OpenBLAS's potrf does not flag NaN or inf,
-so the entry checks reject non-finite inputs before they reach it.
+so the entry checks reject non-finite inputs before they reach it, and
+the posterior is checked once where finite inputs overflow the kernel.
 """
 from __future__ import annotations
 
@@ -165,6 +166,9 @@ def gp_fit(dataset: GpDataset, lo, hi, *, seed: int = 0,
         sigma_eta2 = math.exp(best.x[d])
 
     chol, alpha = _posterior(X, y, ell, sigma_eta2, dataset.noise_var)
+    if not np.isfinite(alpha).all():
+        # finite inputs can still overflow the kernel (a lengthscale of 1e-200)
+        raise ConfigError("the kernel overflows: the GP posterior is not finite")
     return GpModel(x_norm=X, lo=lo, hi=hi, sigma_eta2=float(sigma_eta2),
                    lengthscales=ell, chol=chol, alpha=alpha)
 
@@ -181,6 +185,9 @@ def gp_predict_batch(model: GpModel, thetas: np.ndarray) -> tuple[np.ndarray, np
         raise ConfigError("prediction points must be finite")
     k_star = matern52_matrix(Xs, model.x_norm, model.sigma_eta2, model.lengthscales)
     mu = k_star @ model.alpha
+    if not np.isfinite(mu).all():
+        raise ConfigError("the kernel overflows: the GP posterior is not finite "
+                          "at the prediction points")
     v = dpotrs(model.chol, k_star.T, lower=1)[0]
     var = model.sigma_eta2 - np.einsum("ij,ji->i", k_star, v)
     var = np.where(var < 1e-12, 0.0, var)

@@ -25,8 +25,8 @@ from .paths import (PATH_KINDS, ClothoidSpec, EightSpec, PathTable,
                     errors_from_projection, project)
 from .tracking import (AptParams, apt_radius, clamp_radius, default_radius_grid,
                        ppt_radius, steer_feedback)
-from .vehicle import (MU_NOMINAL, MU_SLIPPERY, ControlInput, ControlLimits, Pose,
-                      VehicleParams, default_limits, default_vehicle_params,
+from .vehicle import (MU_NOMINAL, MU_SLIPPERY, V_FLOOR, ControlInput, ControlLimits,
+                      Pose, VehicleParams, default_limits, default_vehicle_params,
                       step, wrap_angle)
 
 # mode -> components of theta = (delta_eq, w_r, w_e) it learns; the rest
@@ -60,6 +60,10 @@ class Scenario:
     def __post_init__(self):
         if self.mode not in FREE_COMPONENTS:
             raise ConfigError(f"mode must be one of {tuple(FREE_COMPONENTS)}")
+        if 1 not in FREE_COMPONENTS[self.mode] and self.mpc.N_p < 3:
+            # the modes off the adaptive law fit a circle to N_p path points
+            raise ConfigError(f"mode {self.mode!r} fits its radius to N_p path "
+                              f"points and needs N_p >= 3, got {self.mpc.N_p}")
         if not math.isfinite(self.T):
             raise ConfigError(f"T must be finite, got {self.T!r}")
         n = self.T / self.mpc.dT
@@ -224,7 +228,7 @@ def run_episode(scenario: Scenario, theta=None,
     dep_failures = 0
     hint = None  # progress window for self-intersecting paths
     for k in range(n_steps):
-        if not (0.1 <= state.V <= V_MAX_SANE):
+        if not (V_FLOOR <= state.V <= V_MAX_SANE):
             failed, reason = True, f"speed out of range at step {k}"
             break
         try:

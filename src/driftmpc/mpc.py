@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -62,6 +61,24 @@ class MpcConfig:
             raise ConfigError("weights must be finite and strictly positive")
         if not (math.isfinite(self.dT) and self.dT > 0):
             raise ConfigError("dT must be finite and positive")
+        # the parts of the condensed QP fixed by the configuration alone,
+        # derived once as read-only attributes rather than fields, so asdict(),
+        # ==, hash and the scenario files hold only the values above
+        n_p, n_c = self.N_p, self.N_c
+        # block (k, j) of S is stacked block max(k + 1 - j, 0) of the
+        # (N_p + 1, 5, 2) blocks: S[5k + i, 2j + l] = blocks[max(k + 1 - j, 0), i, l]
+        lag = np.maximum(np.arange(1, n_p + 1)[:, None] - np.arange(n_c)[None, :], 0)
+        # input bounds: u_prev + cumulative sum of increments within [lo, hi]
+        cum = np.kron(np.tril(np.ones((n_c, n_c))), np.eye(2))
+        derived = {"lag": (10 * lag[:, None, :, None] + 2 * np.arange(5)[:, None, None]
+                           + np.arange(2)).reshape(5 * n_p, 2 * n_c),  # gathers S
+                   "q_diag": np.tile(np.asarray(self.Q, dtype=float), n_p),
+                   "R_bar": np.diag(np.tile(np.asarray(self.R, dtype=float), n_c)),
+                   # rate rows +-w_j <= rate, then upper and lower input-bound rows
+                   "A": np.vstack([np.eye(2 * n_c), -np.eye(2 * n_c), cum, -cum])}
+        for name, arr in derived.items():
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
 
 def linearize(dep: DriftEquilibrium, params: VehicleParams,
@@ -121,36 +138,6 @@ class MpcSolution:
     n_active: int
 
 
-class _Stacking(NamedTuple):
-    """The parts of the condensed QP fixed by the MpcConfig alone."""
-    lag: np.ndarray     # flat index that gathers S from the stacked blocks
-    q_diag: np.ndarray  # the state-input weights stacked over N_p
-    R_bar: np.ndarray   # the diagonal increment weight matrix over N_c
-    A: np.ndarray       # rate rows, then upper and lower prefix-sum rows
-
-
-@lru_cache(maxsize=16)
-def _stacking(cfg: MpcConfig) -> _Stacking:
-    """Block (k, j) of S is stacked block max(k + 1 - j, 0) of the
-    (N_p + 1, 5, 2) blocks, so S[5k + i, 2j + l] = blocks[max(k + 1 - j, 0),
-    i, l].  Read-only."""
-    n_p, n_c = cfg.N_p, cfg.N_c
-    lag = np.maximum(np.arange(1, n_p + 1)[:, None] - np.arange(n_c)[None, :], 0)
-    idx = (10 * lag[:, None, :, None] + 2 * np.arange(5)[:, None, None]
-           + np.arange(2)).reshape(5 * n_p, 2 * n_c)
-    q_diag = np.tile(np.asarray(cfg.Q, dtype=float), n_p)
-    R_bar = np.diag(np.tile(np.asarray(cfg.R, dtype=float), n_c))
-    nv = 2 * n_c
-    # rate bounds: +-w_j <= rate, stacked per step
-    A_rate = np.vstack([np.eye(nv), -np.eye(nv)])
-    # input bounds: u_prev + cumulative sum of increments within [lo, hi]
-    cum = np.kron(np.tril(np.ones((n_c, n_c))), np.eye(2))
-    out = _Stacking(idx, q_diag, R_bar, np.vstack([A_rate, cum, -cum]))
-    for arr in out:
-        arr.flags.writeable = False
-    return out
-
-
 class Horizon(NamedTuple):
     """The parts of the condensed QP fixed by (AugmentedModel, MpcConfig)."""
     cfg: MpcConfig
@@ -186,12 +173,11 @@ def condense(model: AugmentedModel, cfg: MpcConfig) -> Horizon:
     blocks = np.empty((n_p + 1, 5, 2))
     blocks[0] = 0.0
     np.matmul(powers[:n_p], model.B_hat, out=blocks[1:])
-    st = _stacking(cfg)
-    S = blocks.ravel().take(st.lag)
-    SQ = S * st.q_diag[:, None]
-    H = 2.0 * (S.T.dot(SQ) + st.R_bar)
+    S = blocks.ravel().take(cfg.lag)
+    SQ = S * cfg.q_diag[:, None]
+    H = 2.0 * (S.T.dot(SQ) + cfg.R_bar)
     H = 0.5 * (H + H.T)
-    out = Horizon(cfg, powers, acc, S, SQ, H, _setup(H, st.A))
+    out = Horizon(cfg, powers, acc, S, SQ, H, _setup(H, cfg.A))
     for arr in (*out[1:-1], *out.setup):
         arr.flags.writeable = False
     return out
@@ -224,13 +210,12 @@ def solve_mpc(xi_now: np.ndarray, dep: DriftEquilibrium, horizon: Horizon,
     if (u_prev < lo - 1e-9).any() or (u_prev > hi + 1e-9).any():
         raise InfeasibleQpError("previous input outside the input set")
 
-    st = _stacking(cfg)
     c = _offsets(horizon, xi_now, dep.as_array())
     H = horizon.H
     g = 2.0 * horizon.SQ.T.dot(c)
-    const = float(c.dot(st.q_diag * c))
+    const = float(c.dot(cfg.q_diag * c))
 
-    A = st.A
+    A = cfg.A
     n_rate = 4 * cfg.N_c
     b = np.empty(A.shape[0])
     # the rate rows, then the upper and lower input-bound rows, in (delta, F) pairs

@@ -2,6 +2,9 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,3 +242,25 @@ def test_mode_choices_follow_the_mode_table():
 
     assert mode_choices("simulate") == list(FREE_COMPONENTS)
     assert mode_choices("tune") == [m for m, free in FREE_COMPONENTS.items() if free]
+
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def test_cli_outputs_keep_their_committed_bits(tmp_path):
+    """scripts/cli_outputs.sh reruns the CLI, kernel, QP, BO and trace
+    digests and compares their SHA-256 with scripts/cli_outputs.sha256,
+    which holds for the Python/NumPy/SciPy/OpenBLAS of its first line."""
+    env = dict(os.environ)
+    env["PATH"] = os.pathsep.join([os.path.dirname(sys.executable), env.get("PATH", "")])
+    out = tmp_path / "out"
+    proc = subprocess.run(["bash", str(SCRIPTS / "cli_outputs.sh"), str(out)],
+                          env=env, capture_output=True, text=True)
+    if proc.returncode == 0:
+        return
+    listed = tmp_path / "out.sha256"
+    want_head = (SCRIPTS / "cli_outputs.sha256").read_text().splitlines()[0]
+    if listed.is_file() and listed.read_text().splitlines()[0] != want_head:
+        pytest.skip(f"the committed list was made on {want_head[2:]}; this is "
+                    f"{listed.read_text().splitlines()[0][2:]}")
+    pytest.fail(f"scripts/cli_outputs.sh exited {proc.returncode}:\n{proc.stderr}")

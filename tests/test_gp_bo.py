@@ -263,6 +263,20 @@ class TestGpFit:
         with pytest.raises(ConfigError):
             gp_fit(ds, lo, hi, hypers=hypers)
 
+    @pytest.mark.parametrize("case", ["tiny lengthscale", "huge point"])
+    def test_kernel_overflow_rejected(self, case):
+        # finite inputs whose kernel overflows turned into an all-NaN alpha
+        # or a NaN mean and variance, returned without notice
+        ds = GpDataset(BOUNDS.sample(6, seed=5), np.arange(6.0))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ConfigError, match="not finite"):
+            if case == "tiny lengthscale":
+                gp_fit(ds, BOUNDS.lo, BOUNDS.hi, hypers=([1e-200, 0.4, 0.4], 1.0))
+            else:
+                model = gp_fit(ds, BOUNDS.lo, BOUNDS.hi,
+                               hypers=(np.array([0.4, 0.4, 0.4]), 1.0))
+                gp_predict_batch(model, np.array([[1e300, 1.0, 0.0]]))
+
     def test_zero_noise_accepted(self):
         thetas = BOUNDS.sample(4, seed=5)
         model = gp_fit(GpDataset(thetas, np.arange(4.0), noise_var=0.0),
@@ -532,6 +546,14 @@ class TestBoLoop:
         none = bo_loop(runner, BOUNDS, m=4, N=6, seed=1)
         assert same_bits(empty.thetas, none.thetas)
         assert same_bits(empty.costs, none.costs)
+
+    def test_every_warm_start_checked_before_the_first_run(self):
+        calls = []
+        warm = [(0.0, 1.0, 0.0), (0.1, 1.0, 0.0), (9.0, 1.0, 0.0)]
+        assert [BOUNDS.contains(np.array(t)) for t in warm] == [True, True, False]
+        with pytest.raises(ConfigError, match="outside bounds"):
+            bo_loop(calls.append, BOUNDS, m=4, N=6, seed=1, init_thetas=warm)
+        assert calls == []
 
     def test_invalid_budget(self):
         with pytest.raises(ConfigError):

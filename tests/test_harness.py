@@ -396,6 +396,23 @@ class TestScenarioIo:
         with pytest.raises(ConfigError):
             case_scenario(case=1, mode="ppt", T=1.234)
 
+    def test_circle_fit_modes_need_three_horizon_points(self):
+        # ppt_radius fits N_p path points; it raised at step 0 of the episode.
+        # The adaptive-law modes never call it and run a one-step horizon
+        for n_p in (1, 2):
+            mpc_cfg = mpc_module.MpcConfig(N_p=n_p, N_c=1)
+            for mode in ("ppt", "dep"):
+                with pytest.raises(ConfigError, match="N_p >= 3"):
+                    case_scenario(1, mode, mpc=mpc_cfg)
+                data = json.loads(json.dumps(scenario_to_dict(case_scenario(1, mode))))
+                data["mpc"].update(N_p=n_p, N_c=1)
+                with pytest.raises(ConfigError, match="N_p >= 3"):
+                    scenario_from_dict(data)
+        for mode in ("apt", "almpc"):
+            sc = case_scenario(1, mode, mpc=mpc_module.MpcConfig(N_p=1, N_c=1))
+            trace, _ = run_episode(sc, (sc.apt.delta_eq_base, sc.apt.w_r, sc.apt.w_e))
+            assert not trace.failed and len(trace) == sc.n_steps == 184
+
 
 class TestTune:
     def test_smoke_and_history(self):

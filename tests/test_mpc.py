@@ -1,7 +1,7 @@
 import math
 import re
 import warnings
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -512,23 +512,59 @@ def test_condense_per_block_on_drift_model(aug, dep, n_p, n_c):
     assert bits(S, c) == bits(*condense_oracle(aug, xi, dep.as_array(), cfg))
 
 
+def lag_per_entry(cfg):
+    """Oracle: S[5k + i, 2j + l] = blocks[max(k + 1 - j, 0), i, l] as a flat
+    index into the (N_p + 1, 5, 2) blocks, entry by entry."""
+    idx = np.empty((5 * cfg.N_p, 2 * cfg.N_c), dtype=int)
+    for k in range(cfg.N_p):
+        for j in range(cfg.N_c):
+            for i in range(5):
+                for l in range(2):
+                    idx[5 * k + i, 2 * j + l] = 10 * max(k + 1 - j, 0) + 2 * i + l
+    return idx
+
+
+DERIVED = ("lag", "q_diag", "R_bar", "A")
+
+
 class TestConstraintCache:
+    """The constraint rows, stacked weights and gather index each MpcConfig
+    derives once, in __post_init__."""
+
     def test_read_only(self, mpc_cfg):
-        stacking = mpc._stacking(mpc_cfg)
-        for arr in stacking:
-            assert not arr.flags.writeable
+        for name in DERIVED:
+            assert not getattr(mpc_cfg, name).flags.writeable, name
         with pytest.raises(ValueError):
-            stacking.A[0, 0] = 2.0
+            mpc_cfg.A[0, 0] = 2.0
+
+    def test_not_fields(self, mpc_cfg):
+        names = {f.name for f in fields(MpcConfig)}
+        assert names == {"N_p", "N_c", "Q", "R", "dT"}
+        assert set(asdict(mpc_cfg)) == names
+        assert mpc_cfg == MpcConfig() and hash(mpc_cfg) == hash(MpcConfig())
+        assert repr(mpc_cfg) == ("MpcConfig(N_p=20, N_c=19, Q=(10.0, 1.0, 10.0, "
+                                 "1.0, 1.0), R=(1.0, 1.0), dT=0.1)")
 
     @pytest.mark.parametrize("n_c", [1, 7, 19])
     def test_matches_per_step_construction(self, limits, n_c):
         cfg = MpcConfig(N_p=20, N_c=n_c)
         A_ref, _ = constraints_per_step(cfg, limits, np.array([0.3, 2500.0]))
-        stacking = mpc._stacking(cfg)
-        assert np.array_equal(stacking.A, A_ref)
-        q_diag, R_bar = stacking.q_diag, stacking.R_bar
-        assert np.array_equal(q_diag, np.tile(np.asarray(cfg.Q, float), cfg.N_p))
-        assert np.array_equal(R_bar, np.diag(np.tile(np.asarray(cfg.R, float), n_c)))
+        assert np.array_equal(cfg.A, A_ref)
+        assert np.array_equal(cfg.lag, lag_per_entry(cfg))
+        assert np.array_equal(cfg.q_diag, np.tile(np.asarray(cfg.Q, float), cfg.N_p))
+        assert np.array_equal(cfg.R_bar, np.diag(np.tile(np.asarray(cfg.R, float), n_c)))
+
+    @pytest.mark.parametrize("n_p, n_c", [(20, 20), (5, 1), (1, 1)])
+    def test_replace_rebuilds_for_a_new_horizon(self, mpc_cfg, limits, n_p, n_c):
+        cfg = replace(mpc_cfg, N_p=n_p, N_c=n_c)
+        assert cfg.A.shape == (8 * n_c, 2 * n_c) and cfg.R_bar.shape == (2 * n_c,) * 2
+        assert cfg.lag.shape == (5 * n_p, 2 * n_c) and cfg.q_diag.shape == (5 * n_p,)
+        A_ref, _ = constraints_per_step(cfg, limits, np.array([0.3, 2500.0]))
+        assert np.array_equal(cfg.A, A_ref)
+        assert np.array_equal(cfg.lag, lag_per_entry(cfg))
+        for name in DERIVED:
+            assert not getattr(cfg, name).flags.writeable, name
+        assert mpc_cfg.A.shape == (8 * 19, 38)
 
     def test_rate_limits_reach_b(self, dep, hz, mpc_cfg, limits, monkeypatch):
         seen = []
@@ -659,13 +695,6 @@ class TestSameBits:
                 solve_mpc(xi, dep, horizon, limits)
                 _, b_ref = constraints_per_step(cfg, limits, xi[3:])
                 assert bits(seen[-1]) == bits(b_ref), (n_p, n_c, u_prev)
-
-
-def test_lag_index_is_cached_read_only(mpc_cfg):
-    # cached with the weights and the constraint rows, per MpcConfig value
-    idx = mpc._stacking(mpc_cfg).lag
-    assert idx is mpc._stacking(MpcConfig()).lag
-    assert not idx.flags.writeable
 
 
 def solution_bits(sol):

@@ -26,7 +26,7 @@ from driftmpc.equilibrium import solve_dep
 from driftmpc.errors import (ConfigError, DriftMpcError, InfeasibleQpError,
                              QpIterationLimitError)
 from driftmpc.harness import case_scenario, run_episode
-from driftmpc.mpc import MpcConfig, _stacking, augment, condense, linearize, solve_mpc
+from driftmpc.mpc import MpcConfig, augment, condense, linearize, solve_mpc
 from driftmpc.qp import QpResult, solve_qp
 from driftmpc.vehicle import default_limits, default_vehicle_params
 
@@ -263,7 +263,7 @@ def mpc_shaped_qps(draw):
     rate = [limits.d_delta_lim, limits.d_F_lim]
     b = np.concatenate([np.tile(rate, 2 * n_c), np.tile(hi - u_prev, n_c),
                         np.tile(u_prev - lo, n_c)])
-    return H, g, _stacking(cfg).A, b
+    return H, g, cfg.A, b
 
 
 @settings(max_examples=300, deadline=None)
