@@ -164,7 +164,8 @@ PY
 # inside a j_fail plateau fits its GP to a cliff, as tuning does
 python3 -B - > bo_digest.txt <<'PY'
 import numpy as np
-from driftmpc.bo import CostConfig, ThetaBounds, bo_loop
+from driftmpc.bo import ThetaBounds, bo_loop
+from driftmpc.harness import CostConfig
 
 bounds = ThetaBounds()
 width = bounds.hi - bounds.lo

@@ -13,7 +13,7 @@ max|e| against its 1 m bound, and PASS/FAIL for both criteria.
 
 The tunes' GP factorizations round differently with the BLAS thread
 count, so the script reports OPENBLAS_NUM_THREADS as it found it; it
-does not set it.  One seed takes about 2-2.5 minutes on one core.  The
+does not set it.  One seed takes about 66 s on one core.  The
 package is taken from the src/ directory next to this script.
 """
 from __future__ import annotations
@@ -28,8 +28,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from driftmpc.bo import CostConfig  # noqa: E402
-from driftmpc.harness import case_scenario, run_episode, tune  # noqa: E402
+from driftmpc.harness import CostConfig, case_scenario, run_episode, tune  # noqa: E402
 
 
 def sweep_seed(seed: int, rmse_ppt: float, max_e_ppt2: float) -> str:

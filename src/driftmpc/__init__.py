@@ -3,13 +3,13 @@ solving, linearized MPC, adaptive path tracking, and a Bayesian-optimization
 supervisor that learns the steering equilibrium and tracking-law weights
 from closed-loop episode cost.
 """
-from .bo import (BoResult, CostConfig, ThetaBounds, acquire_next, bo_loop,
-                 episode_cost, expected_improvement, failed_episode_cost)
+from .bo import BoResult, ThetaBounds, acquire_next, bo_loop, expected_improvement
 from .equilibrium import DriftEquilibrium, dep_sweep, solve_dep
 from .gp import GpDataset, GpModel, gp_fit, gp_predict
-from .harness import (EpisodeTrace, MetricsReport, Scenario, TuneResult,
-                      case_scenario, metrics_from_trace, report, run_episode,
-                      scenario_from_file, scenario_to_file, tune, tune_objective)
+from .harness import (CostConfig, EpisodeTrace, MetricsReport, Scenario, TuneResult,
+                      case_scenario, episode_cost, metrics_from_trace, report,
+                      run_episode, scenario_from_file, scenario_to_file, tune,
+                      tune_objective)
 from .mpc import (AugmentedModel, LinearModel, MpcConfig, MpcSolution, augment,
                   condense, linearize, solve_mpc)
 from .paths import ClothoidSpec, EightSpec, PathTable, TrackingErrors, project

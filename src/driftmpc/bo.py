@@ -1,5 +1,5 @@
-"""Bayesian-optimization supervisor: episode cost, expected improvement,
-acquisition search, and the evaluate-update-acquire loop.
+"""Bayesian-optimization supervisor: expected improvement, acquisition
+search, and the evaluate-update-acquire loop over a black-box runner.
 """
 from __future__ import annotations
 
@@ -47,56 +47,6 @@ class ThetaBounds:
         n_pow2 = 1 << max(int(n - 1).bit_length(), 0) if n > 1 else 1
         u = sob.random(n_pow2)[:n]
         return self.lo + u * (self.hi - self.lo)
-
-
-@dataclass(frozen=True)
-class CostConfig:
-    lam: float = 10.0      # course-error weight
-    e_max: float = 1.5     # soft barrier threshold [m]
-    eps: float = 1e-12     # flooring constant for the logarithms
-    j_fail: float = 10.0   # cost assigned to crashed/diverged episodes
-
-    def __post_init__(self):
-        if not all(map(math.isfinite, vars(self).values())):
-            raise ConfigError(f"cost parameters must be finite, got {vars(self)}")
-        if self.lam <= 0 or self.e_max <= 0 or self.eps <= 0:
-            raise ConfigError("need lam > 0, e_max > 0, eps > 0")
-
-
-def episode_cost(e, dpsi, cfg: CostConfig) -> float:
-    """Log-compressed tracking cost of a completed episode, with soft
-    barrier and increment terms.
-
-    Works on the absolute lateral error.  The barrier is the log of the
-    mean threshold excess, shifted so it is exactly zero when no step
-    exceeds e_max (the raw log of an empty excess is undefined; the shift
-    by -log(eps) keeps the term non-negative and monotone).
-    """
-    e = np.abs(np.asarray(e, float))
-    dpsi = np.abs(np.asarray(dpsi, float))
-    if len(e) < 2 or len(e) != len(dpsi):
-        raise ConfigError("need equal-length traces with at least 2 steps")
-    main = float(np.mean(e + cfg.lam * dpsi))
-    excess = np.maximum(e - cfg.e_max, 0.0)
-    barrier_inner = max(float(np.mean(10.0 * excess)), cfg.eps)
-    barrier = math.log(barrier_inner) - math.log(cfg.eps)
-    increment = float(np.mean(np.diff(e)))
-    bracket = max(main + barrier + increment, cfg.eps)
-    return math.log(bracket)
-
-
-def failed_episode_cost(steps: int, n_steps: int, cfg: CostConfig) -> float:
-    """Tuner objective of a failed episode that survived `steps` of its
-    `n_steps` steps.
-
-    j_fail at step 0, falling linearly to j_fail / 2 at n_steps, so the
-    surrogate sees which failing parameters came closer to finishing
-    instead of a flat plateau.  With the default j_fail the floor of 5 stays
-    above any completed episode's cost (about 4.3 with |e| < 10 m), so a
-    completed episode always ranks better than a failed one.
-    """
-    frac = min(steps, n_steps) / n_steps
-    return cfg.j_fail * (1.0 - 0.5 * frac)
 
 
 def _ei(mu, var, best_cost: float) -> np.ndarray:
@@ -167,30 +117,24 @@ def bo_loop(runner, bounds: ThetaBounds, m: int, N: int, seed: int,
     runner maps a parameter vector to its observed episode cost.  Optional
     init_thetas are evaluated first and count toward the m initial points;
     None and an empty list ask for none.
-    Fully deterministic for a fixed (seed, configuration).
+    Deterministic for a fixed seed and a fixed BLAS thread count.
     """
     if m < 2 or N < m:
         raise ConfigError("need m >= 2 and N >= m")
-    thetas: list[np.ndarray] = []
-    costs: list[float] = []
+    init = np.empty((0, bounds.dim))
     if init_thetas is not None and np.size(init_thetas):
-        init_arr = np.atleast_2d(np.asarray(init_thetas, float))
-        if init_arr.shape[1:] != (bounds.dim,):
-            raise ConfigError(f"warm-start points need {bounds.dim} components, "
-                              f"got an array of shape {init_arr.shape}")
-        if len(init_arr) > m:
-            raise ConfigError("more warm-start points than the initial budget")
-        for t in init_arr:  # every point before the first (costly) run
-            if not bounds.contains(t):
-                raise ConfigError(f"initial point {t} outside bounds")
-        for t in init_arr:
-            thetas.append(t.copy())
-            costs.append(float(runner(t)))
-    n_fill = m - len(thetas)
-    if n_fill > 0:
-        for t in bounds.sample(n_fill, seed):
-            thetas.append(t)
-            costs.append(float(runner(t)))
+        init = np.array(init_thetas, float, ndmin=2)
+    if init.shape[1:] != (bounds.dim,):
+        raise ConfigError(f"warm-start points need {bounds.dim} components, "
+                          f"got an array of shape {init.shape}")
+    if len(init) > m:
+        raise ConfigError("more warm-start points than the initial budget")
+    for t in init:  # every point before the first (costly) run
+        if not bounds.contains(t):
+            raise ConfigError(f"initial point {t} outside bounds")
+    n_fill = m - len(init)
+    thetas = list(np.vstack([init, bounds.sample(n_fill, seed)]) if n_fill else init)
+    costs = [float(runner(t)) for t in thetas]
 
     hypers = None
     width = bounds.hi - bounds.lo

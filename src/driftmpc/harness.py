@@ -1,4 +1,4 @@
-"""Closed-loop episode runner, tuner entry point, and reporting.
+"""Closed-loop episode runner, episode cost, tuner entry point, and reporting.
 
 The plant and the controller model are the same single-track dynamics with
 independently supplied parameter sets; every other difference between them
@@ -14,8 +14,7 @@ from dataclasses import asdict, astuple, dataclass, field, fields, replace
 
 import numpy as np
 
-from .bo import (BoResult, CostConfig, ThetaBounds, bo_loop, episode_cost,
-                 failed_episode_cost)
+from .bo import BoResult, ThetaBounds, bo_loop
 from .csvout import write_csv
 from .equilibrium import solve_dep
 from .errors import (ConfigError, DriftMpcError, GripBranchError,
@@ -43,6 +42,20 @@ TRACE_COLUMNS = ["t", "X", "Y", "phi", "V", "beta", "r", "delta_cmd",
                  "delta_eq_hat", "V_eq", "beta_eq", "r_eq", "F_xr_eq",
                  "mpc_cost", "dep_converged"]
 FAILED_PREFIX = "# failed: "  # trailing trace-CSV line of a failed episode
+
+
+@dataclass(frozen=True)
+class CostConfig:
+    lam: float = 10.0      # course-error weight
+    e_max: float = 1.5     # soft barrier threshold [m]
+    eps: float = 1e-12     # flooring constant for the logarithms
+    j_fail: float = 10.0   # cost assigned to crashed/diverged episodes
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, vars(self).values())):
+            raise ConfigError(f"cost parameters must be finite, got {vars(self)}")
+        if self.lam <= 0 or self.e_max <= 0 or self.eps <= 0:
+            raise ConfigError("need lam > 0, e_max > 0, eps > 0")
 
 
 @dataclass(frozen=True)
@@ -127,6 +140,28 @@ class MetricsReport:
     cost_J: float
 
 
+def episode_cost(e, dpsi, cfg: CostConfig) -> float:
+    """Log-compressed tracking cost of a completed episode, with soft
+    barrier and increment terms.
+
+    Works on the absolute lateral error.  The barrier is the log of the
+    mean threshold excess, shifted so it is exactly zero when no step
+    exceeds e_max (the raw log of an empty excess is undefined; the shift
+    by -log(eps) keeps the term non-negative and monotone).
+    """
+    e = np.abs(np.asarray(e, float))
+    dpsi = np.abs(np.asarray(dpsi, float))
+    if len(e) < 2 or len(e) != len(dpsi):
+        raise ConfigError("need equal-length traces with at least 2 steps")
+    main = float(np.mean(e + cfg.lam * dpsi))
+    excess = np.maximum(e - cfg.e_max, 0.0)
+    barrier_inner = max(float(np.mean(10.0 * excess)), cfg.eps)
+    barrier = math.log(barrier_inner) - math.log(cfg.eps)
+    increment = float(np.mean(np.diff(e)))
+    bracket = max(main + barrier + increment, cfg.eps)
+    return math.log(bracket)
+
+
 def _rms(x: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.square(x)))) if len(x) else math.nan
 
@@ -152,34 +187,42 @@ def metrics_from_trace(trace: EpisodeTrace, cost_cfg: CostConfig) -> MetricsRepo
 
 def tune_objective(trace: EpisodeTrace, metrics: MetricsReport,
                    scenario: Scenario) -> float:
-    """What the tuner minimizes: cost_J for a completed episode, the graded
-    failed_episode_cost of the steps survived out of the scenario's steps
-    for a failed one (cost_J itself stays j_fail)."""
+    """What the tuner minimizes: cost_J for a completed episode.
+
+    A failed episode (cost_J itself stays j_fail) is graded by the steps it
+    survived out of the scenario's steps: j_fail at step 0, falling
+    linearly to j_fail / 2 at the last step, so the surrogate sees which
+    failing parameters came closer to finishing instead of a flat plateau.
+    With the default j_fail the floor of 5 stays above any completed
+    episode's cost (about 4.3 with |e| < 10 m), so a completed episode
+    always ranks better than a failed one.
+    """
     if trace.failed:
-        return failed_episode_cost(len(trace), scenario.n_steps, scenario.cost)
+        frac = min(len(trace), scenario.n_steps) / scenario.n_steps
+        return scenario.cost.j_fail * (1.0 - 0.5 * frac)
     return metrics.cost_J
 
 
-def _apt_theta(apt: AptParams) -> np.ndarray:
-    return np.array([apt.delta_eq_base, apt.w_r, apt.w_e])
-
-
-def _theta_for_mode(mode: str, theta, apt: AptParams) -> list[float]:
-    """Resolve (delta_eq_base, w_r, w_e): the apt values with the mode's
-    free components taken from the learned vector."""
-    free = FREE_COMPONENTS[mode]
-    full = _apt_theta(apt)
+def _law(scenario: Scenario, theta) -> AptParams:
+    """The episode's tracking law: the scenario's apt values with the
+    mode's free components of theta = (delta_eq, w_r, w_e) learned, and
+    k = 0 in the modes off the adaptive law, which feed no e_la to the
+    steering."""
+    apt, free = scenario.apt, FREE_COMPONENTS[scenario.mode]
+    full = np.array([apt.delta_eq_base, apt.w_r, apt.w_e])
     if theta is None:
         if free:
-            raise ConfigError(f"mode '{mode}' requires a theta vector")
-        return full.tolist()
-    t = np.asarray(theta, float).ravel()
-    if len(t) != 3:
-        raise ConfigError("theta must have 3 components (delta_eq, w_r, w_e)")
-    if not np.all(np.isfinite(t)):
-        raise ConfigError(f"theta must be finite, got {t.tolist()}")
-    full[free] = t[free]
-    return full.tolist()
+            raise ConfigError(f"mode '{scenario.mode}' requires a theta vector")
+    else:
+        t = np.asarray(theta, float).ravel()
+        if len(t) != 3:
+            raise ConfigError("theta must have 3 components (delta_eq, w_r, w_e)")
+        if not np.all(np.isfinite(t)):
+            raise ConfigError(f"theta must be finite, got {t.tolist()}")
+        full[free] = t[free]
+    delta_eq_base, w_r, w_e = full.tolist()
+    return replace(apt, delta_eq_base=delta_eq_base, w_r=w_r, w_e=w_e,
+                   k=apt.k if 1 in free else 0.0)
 
 
 def run_episode(scenario: Scenario, theta=None,
@@ -195,12 +238,8 @@ def run_episode(scenario: Scenario, theta=None,
     """
     if path is None:
         path = scenario.build_path()
-    mode = scenario.mode
-    use_apt_law = 1 in FREE_COMPONENTS[mode]
-    delta_base, w_r, w_e = _theta_for_mode(mode, theta, scenario.apt)
-    # the episode's law; only the adaptive-law modes feed e_la to the steering
-    law = replace(scenario.apt, delta_eq_base=delta_base, w_r=w_r, w_e=w_e,
-                  k=scenario.apt.k if use_apt_law else 0.0)
+    use_apt_law = 1 in FREE_COMPONENTS[scenario.mode]
+    law = _law(scenario, theta)
     limits = scenario.limits
     mpc_cfg = scenario.mpc
     model_params = scenario.model_params
@@ -321,14 +360,16 @@ def tune(scenario: Scenario, init: int = 20, budget: int = 320,
     the untuned configuration; extra_init accepts further full 3-vectors
     to warm-start from (e.g. a previously tuned lower-dimensional mode).
     Each evaluation is scored by tune_objective, so failed episodes are
-    graded by the steps they survived.  Deterministic per seed.
+    graded by the steps they survived.  Deterministic for a fixed seed and
+    a fixed BLAS thread count.
     """
     free = FREE_COMPONENTS[scenario.mode]
     if not free:
         raise ConfigError(f"mode '{scenario.mode}' learns nothing to tune")
     full_bounds = ThetaBounds()
     sub_bounds = ThetaBounds(lo=full_bounds.lo[free], hi=full_bounds.hi[free])
-    pinned = _apt_theta(scenario.apt)
+    apt = scenario.apt
+    pinned = np.array([apt.delta_eq_base, apt.w_r, apt.w_e])
     path = scenario.build_path()
 
     def expand(theta_free: np.ndarray) -> np.ndarray:

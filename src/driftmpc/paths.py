@@ -89,20 +89,16 @@ class EightSpec:
         y = np.empty(total)
         phi = np.empty(total)
         kappa = np.empty(total)
-        # left lobe: center (0, +R); angle from center starts at -pi/2
-        s1 = s[:n_lobe]
-        ang = -0.5 * math.pi + s1 / radius
-        x[:n_lobe] = radius * np.cos(ang)
-        y[:n_lobe] = radius + radius * np.sin(ang)
-        phi[:n_lobe] = s1 / radius
-        kappa[:n_lobe] = 1.0 / radius
-        # right lobe: center (0, -R); angle starts at +pi/2, clockwise
-        s2 = s[n_lobe:] - lobe_len
-        ang = 0.5 * math.pi - s2 / radius
-        x[n_lobe:] = radius * np.cos(ang)
-        y[n_lobe:] = -radius + radius * np.sin(ang)
-        phi[n_lobe:] = -s2 / radius
-        kappa[n_lobe:] = -1.0 / radius
+        # left lobe: center (0, +R), counter-clockwise from angle -pi/2;
+        # right lobe: center (0, -R), clockwise from angle +pi/2
+        for part, sign, s0 in ((slice(0, n_lobe), 1.0, 0.0),
+                               (slice(n_lobe, total), -1.0, lobe_len)):
+            s_lobe = s[part] - s0
+            ang = sign * (-0.5 * math.pi + s_lobe / radius)
+            x[part] = radius * np.cos(ang)
+            y[part] = sign * radius + radius * np.sin(ang)
+            phi[part] = sign * (s_lobe / radius)
+            kappa[part] = sign / radius
         return PathTable(s=s, x=x, y=y, phi=phi, kappa=kappa, spacing=spacing)
 
 

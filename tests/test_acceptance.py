@@ -258,7 +258,7 @@ class TestCriterion8Case2Mismatch:
         # the soft barrier is set at the 1 m deviation bound this scenario
         # is required to respect, and the tuner transfers from the tuned
         # exact-parameter optimum
-        from driftmpc.bo import CostConfig
+        from driftmpc.harness import CostConfig
         sc_al = case_scenario(case=2, mode="almpc",
                               cost=CostConfig(e_max=1.0))
         tuned = tune(sc_al, init=20, budget=160, seed=SEED,

@@ -9,11 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from driftmpc.bo import CostConfig
 from driftmpc.cli import build_parser, main
 from driftmpc.equilibrium import R_EQ_MAX, R_EQ_MIN
-from driftmpc.harness import (FREE_COMPONENTS, EpisodeTrace, case_scenario,
-                              run_episode, scenario_to_dict, scenario_to_file)
+from driftmpc.harness import (FREE_COMPONENTS, CostConfig, EpisodeTrace,
+                              case_scenario, run_episode, scenario_to_dict,
+                              scenario_to_file)
 
 
 def test_dep_solve(capsys):
@@ -176,6 +176,15 @@ def test_non_finite_theta_rejected(tmp_path, capsys):
     assert main(["simulate", "--case", "1", "--mode", "almpc", "--theta=nan,1,0",
                  "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("driftmpc: ConfigError: theta")
+
+
+def test_theta_of_two_values_rejected(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--case", "1", "--mode", "almpc", "--theta=1,2",
+              "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "theta must be three comma-separated values" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("argv", [["simulate", "--scenario", "missing.json"],

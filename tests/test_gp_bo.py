@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
 from driftmpc import gp
-from driftmpc.bo import (CostConfig, ThetaBounds, _ei_batch, acquire_next, bo_loop,
-                         episode_cost, expected_improvement)
+from driftmpc.bo import ThetaBounds, _ei_batch, acquire_next, bo_loop, expected_improvement
 from driftmpc.errors import ConfigError
 from driftmpc.gp import (GpDataset, gp_fit, gp_predict, gp_predict_batch,
                          matern52_matrix)
-from driftmpc.harness import TRACE_COLUMNS, EpisodeTrace, metrics_from_trace
+from driftmpc.harness import (TRACE_COLUMNS, CostConfig, EpisodeTrace, episode_cost,
+                              metrics_from_trace)
 
 BOUNDS = ThetaBounds()  # stock learning box
 
@@ -187,6 +187,14 @@ class TestGpFit:
     def test_bad_noise_rejected(self, noise):
         with pytest.raises(ConfigError, match="noise_var"):
             GpDataset(BOUNDS.sample(4, seed=5), np.arange(4.0), noise_var=noise)
+
+    @pytest.mark.parametrize("thetas, costs, match", [
+        (np.zeros((4, 3)), np.arange(3.0), "equal length"),
+        (np.zeros((4, 3)), [0.0, 1.0, math.nan, 3.0], "non-finite"),
+        ([[0.0, 1.0, math.inf], [0.1, 1.0, 0.0]], [0.0, 1.0], "non-finite")])
+    def test_bad_dataset_rejected(self, thetas, costs, match):
+        with pytest.raises(ConfigError, match=match):
+            GpDataset(thetas, costs)
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(2, 60), seed=st.integers(0, 2**32 - 1),
@@ -477,6 +485,12 @@ class TestEpisodeCost:
         one_step = EpisodeTrace({c: np.zeros(1) for c in TRACE_COLUMNS})
         assert metrics_from_trace(one_step, self.CFG).cost_J == 10.0
 
+    @pytest.mark.parametrize("e, dpsi", [([0.1], [0.0]), ([], []),
+                                         ([0.1, 0.2], [0.0]), ([0.1], [0.0, 0.0])])
+    def test_short_or_unequal_traces_rejected(self, e, dpsi):
+        with pytest.raises(ConfigError, match="equal-length traces"):
+            episode_cost(e, dpsi, self.CFG)
+
     def test_sign_invariance(self):
         n = 50
         e = np.sin(np.linspace(0, 3, n)) * 0.3
@@ -560,6 +574,11 @@ class TestBoLoop:
             bo_loop(lambda t: 0.0, BOUNDS, m=1, N=5, seed=0)
         with pytest.raises(ConfigError):
             bo_loop(lambda t: 0.0, BOUNDS, m=5, N=4, seed=0)
+        calls = []
+        with pytest.raises(ConfigError, match="more warm-start points than"):
+            bo_loop(calls.append, BOUNDS, m=2, N=4, seed=0,
+                    init_thetas=[(0.0, 1.0, 0.0)] * 3)
+        assert calls == []
 
 
 def test_theta_bounds_validation():

@@ -7,12 +7,12 @@ import pytest
 
 from driftmpc import harness
 from driftmpc import mpc as mpc_module
-from driftmpc.bo import BoResult, CostConfig, failed_episode_cost
-from driftmpc.errors import ConfigError
-from driftmpc.harness import (E_FAIL, FREE_COMPONENTS, TRACE_COLUMNS, EightSpec,
-                              EpisodeTrace, Scenario, TuneResult, case_scenario,
-                              metrics_from_trace, report, run_episode,
-                              scenario_from_dict, scenario_from_file,
+from driftmpc.bo import BoResult
+from driftmpc.errors import ConfigError, DegenerateSpeedError, OffPathError
+from driftmpc.harness import (E_FAIL, FREE_COMPONENTS, TRACE_COLUMNS, CostConfig,
+                              EightSpec, EpisodeTrace, Scenario, TuneResult,
+                              case_scenario, metrics_from_trace, report,
+                              run_episode, scenario_from_dict, scenario_from_file,
                               scenario_to_dict, scenario_to_file, tune,
                               tune_objective)
 from driftmpc.mpc import linearize
@@ -43,6 +43,28 @@ class TestRunEpisode:
         assert trace.failed and len(trace) == 0
         assert trace.failure_reason.startswith("controller failure at step 0")
         assert "KKT certificate" in trace.failure_reason
+        assert m.cost_J == CostConfig().j_fail
+
+    @pytest.mark.parametrize("layer, error, rows, reason", [
+        ("project", OffPathError, 3, "projection lost at step 3"),
+        ("step", DegenerateSpeedError, 4,
+         "plant left the valid regime at step 3: injected")])
+    def test_layer_failure_ends_the_episode(self, monkeypatch, layer, error,
+                                            rows, reason):
+        """The fourth call of the layer raises: a projection at the top of
+        step 3 leaves three rows, a plant step at its end four."""
+        real, calls = getattr(harness, layer), []
+
+        def failing(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 4:
+                raise error("injected")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, layer, failing)
+        trace, m = run_episode(case_scenario(case=1, mode="ppt", T=1.0))
+        assert trace.failed and len(trace) == rows
+        assert trace.failure_reason == reason
         assert m.cost_J == CostConfig().j_fail
 
     @pytest.mark.parametrize("case, mode, theta, steps, calls", [
@@ -95,6 +117,13 @@ class TestRunEpisode:
         sc = case_scenario(case=1, mode="apt")
         with pytest.raises(ConfigError):
             run_episode(sc, None)
+
+    @pytest.mark.parametrize("theta", [(-0.49, 0.99), (-0.49, 0.99, 3.0, 0.0)])
+    def test_theta_of_the_wrong_length_rejected(self, theta):
+        sc = case_scenario(case=1, mode="almpc")
+        with pytest.raises(ConfigError, match=r"^theta must have 3 components "
+                                              r"\(delta_eq, w_r, w_e\)$"):
+            run_episode(sc, theta)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_theta_rejected(self, bad):
@@ -324,6 +353,11 @@ class TestReport:
         with pytest.raises(ConfigError):
             report([t1, t2], ["a", "b"])
 
+    def test_one_label_per_trace(self):
+        trace = EpisodeTrace({c: np.zeros(2) for c in TRACE_COLUMNS})
+        with pytest.raises(ConfigError, match="one label per trace"):
+            report([trace, trace], ["a"])
+
     def test_csv_bundle(self, tmp_path):
         sc = case_scenario(case=1, mode="ppt", T=3.0)
         trace, _ = run_episode(sc)
@@ -387,6 +421,10 @@ class TestScenarioIo:
             scenario_from_dict(data)
         with pytest.raises(ConfigError, match="^T must be finite"):
             case_scenario(case=1, T=T)
+
+    def test_unknown_case_rejected(self):
+        with pytest.raises(ConfigError, match="case must be 1 or 2"):
+            case_scenario(3)
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ConfigError):
@@ -461,8 +499,12 @@ def _completed_cost_bound(cfg: CostConfig) -> float:
 
 class TestTuneObjective:
     def test_failed_episode_cost_graded_by_steps(self):
-        cfg, n = CostConfig(), case_scenario().n_steps
-        vals = np.array([failed_episode_cost(k, n, cfg) for k in range(n + 1)])
+        sc = case_scenario()
+        cfg, n = sc.cost, sc.n_steps
+        traces = [EpisodeTrace({c: np.zeros(k) for c in TRACE_COLUMNS}, failed=True)
+                  for k in range(n + 1)]
+        vals = np.array([tune_objective(t, metrics_from_trace(t, cfg), sc)
+                         for t in traces])
         assert vals[0] == cfg.j_fail
         assert np.all(np.diff(vals) < 0.0)
         assert vals.min() > _completed_cost_bound(cfg)

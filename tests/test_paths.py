@@ -7,7 +7,7 @@ import pytest
 from driftmpc.errors import ConfigError, OffPathError
 from driftmpc.paths import (ClothoidSpec, EightSpec, PathTable, errors_from_projection,
                             project)
-from driftmpc.vehicle import Pose
+from driftmpc.vehicle import Pose, wrap_angle
 
 STOCK = ClothoidSpec(x0=0.0, y0=0.0, theta0=0.0, kappa=1 / 40,
                      kappa_prime=1 / 12000, length=360.0)
@@ -19,6 +19,11 @@ class TestBuildClothoid:
     def test_non_finite_field_rejected(self, name, bad):
         with pytest.raises(ConfigError, match="finite"):
             ClothoidSpec(**{name: bad})
+
+    @pytest.mark.parametrize("length", [0.0, -1.0])
+    def test_non_positive_length_rejected(self, length):
+        with pytest.raises(ConfigError, match="length must be positive"):
+            ClothoidSpec(length=length)
 
     def test_zero_curvature_is_straight(self):
         spec = ClothoidSpec(x0=1.0, y0=2.0, theta0=0.5, kappa=0.0,
@@ -176,6 +181,21 @@ class TestProject:
         pose = Pose(0.05, 0.0, 0.0)
         assert project(pose, t).index < 10
         assert project(pose, t, hint_index=n_lobe - 5).index >= n_lobe - 10
+
+    @pytest.mark.parametrize("ahead", [0.0, 0.1, 2.0])
+    def test_past_the_last_sample_uses_the_last_interval(self, ahead):
+        """A foot point on the last sample has no interval after it: the
+        projection takes the end of the last one, the last sample itself."""
+        t = STOCK.build(0.25)
+        phi = float(t.phi[-1])
+        d = 0.7  # left of the end tangent
+        pose = Pose(float(t.x[-1]) + ahead * math.cos(phi) - d * math.sin(phi),
+                    float(t.y[-1]) + ahead * math.sin(phi) + d * math.cos(phi), 0.0)
+        proj = project(pose, t)
+        assert proj.index == len(t) - 1
+        assert math.isclose(proj.e, d, rel_tol=1e-9)
+        assert math.isclose(proj.phi_r, wrap_angle(phi), abs_tol=1e-12)
+        assert proj.R_r == 1.0 / t.kappa[-1]
 
     def test_radius_sign_preserved(self):
         t = EightSpec(40.0).build(0.25)

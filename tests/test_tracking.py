@@ -195,6 +195,27 @@ def test_ppt_radius_matches_scalar_loop(case):
     assert ppt_radius(proj=proj, **case) == ppt_radius_loop(**case, hint_index=proj.index)
 
 
+@pytest.mark.parametrize("kind", sorted(PATHS))
+@pytest.mark.parametrize("back, horizon_pts, stride", [
+    (10, 6, 5),  # the stride runs past the end: every sample after the foot
+    (2, 6, 1),   # fewer than 3 samples after the foot: the last three
+    (0, 4, 1)])  # foot on the last sample: the last three
+def test_ppt_radius_at_the_path_end_matches_loop(kind, back, horizon_pts, stride):
+    path = PATHS[kind]
+    i = len(path) - 1 - back
+    phi = float(path.phi[i])
+    # 0.4 m right of the sample, heading 0.1 rad off; the hint keeps the
+    # eight's end from projecting onto its start
+    pose = Pose(float(path.x[i]) + 0.4 * math.sin(phi),
+                float(path.y[i]) - 0.4 * math.cos(phi), phi + 0.1)
+    proj = project(pose, path, hint_index=i)
+    assert proj.index == i
+    grid = default_radius_grid()
+    assert ppt_radius(pose, proj, path, horizon_pts, grid, beta=-0.3, stride=stride) \
+        == ppt_radius_loop(pose, path, horizon_pts, grid, beta=-0.3, stride=stride,
+                           hint_index=i)
+
+
 def test_apt_params_validation():
     with pytest.raises(ConfigError):
         AptParams(w_r=1.0, w_e=0.0, x_la=0.0)

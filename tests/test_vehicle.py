@@ -131,6 +131,14 @@ def test_nan_limits_rejected(name):
         replace(default_limits(), **{name: math.nan})
 
 
+@pytest.mark.parametrize("change, match", [
+    ({"delta_min": 1.0}, "lower input bounds"), ({"F_max": -1.0}, "lower input bounds"),
+    ({"d_delta_lim": 0.0}, "rate bounds"), ({"d_F_lim": -1000.0}, "rate bounds")])
+def test_limits_out_of_order_or_without_rate_rejected(change, match):
+    with pytest.raises(ConfigError, match=match):
+        replace(default_limits(), **change)
+
+
 class TestSlipAngles:
     def test_straight_symmetric(self, params):
         af, ar = slip_angles(VehicleState(10.0, 0.0, 0.0), 0.0, params)
