@@ -3,7 +3,8 @@
 # stdout they produce under OUTDIR, plus a digest of the QP solver on the
 # instances recorded in perfbench/data, one of the equilibrium,
 # linearization and condensing kernels over a grid of operating points, one
-# of three closed-loop episodes and one of two Bayesian-optimization runs.
+# of three closed-loop episodes, one of two Bayesian-optimization runs and
+# one of five path tables.
 # Last it checks the SHA-256 of every output against the list committed
 # next to it, scripts/cli_outputs.sha256, and exits 1 naming every file that
 # differs.  The list holds for the Python, NumPy, SciPy and OpenBLAS of its
@@ -202,6 +203,25 @@ for name, case, mode, theta in (("ppt", 1, "ppt", None),
     for k, row in enumerate(rows):
         print(name, k, " ".join(map(float.hex, row)))
     print(name, "failed:", trace.failure_reason if trace.failed else "no")
+PY
+
+# path_digest.txt, one line per sample of five path tables holding the
+# exact bits of s, X, Y, phi and kappa, which the CSVs round to 12 digits:
+# the stock clothoid and eight, a clothoid off the origin whose curvature
+# rises through zero over a length that is not a multiple of its spacing,
+# and eights at R = 7.3 m and 123.4 m
+python3 -B - > path_digest.txt <<'PY'
+from driftmpc.paths import ClothoidSpec, EightSpec
+
+for name, table in (("clothoid", ClothoidSpec().build()),
+                    ("eight", EightSpec().build()),
+                    ("clothoid_off", ClothoidSpec(x0=3.3, y0=-1.7, theta0=0.4, kappa=-0.01,
+                                                  kappa_prime=1e-4, length=123.4).build(0.37)),
+                    ("eight7.3", EightSpec(7.3).build(0.1)),
+                    ("eight123.4", EightSpec(123.4).build(0.37))):
+    columns = (table.s, table.x, table.y, table.phi, table.kappa)
+    for k, row in enumerate(zip(*(c.tolist() for c in columns))):
+        print(name, k, " ".join(map(float.hex, row)))
 PY
 
 # the SHA-256 list of every file under OUTDIR, headed by the versions it

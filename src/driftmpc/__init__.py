@@ -14,7 +14,7 @@ from .mpc import (AugmentedModel, LinearModel, MpcConfig, MpcSolution, augment,
                   condense, linearize, solve_mpc)
 from .paths import ClothoidSpec, EightSpec, PathTable, TrackingErrors, project
 from .qp import QpResult, solve_qp
-from .tracking import AptParams, apt_radius, default_radius_grid, ppt_radius, steer_feedback
+from .tracking import RADIUS_GRID, AptParams, apt_radius, ppt_radius, steer_feedback
 from .vehicle import (ControlInput, ControlLimits, Pose, VehicleParams,
                       VehicleState, dynamics, step, wrap_angle)
 

@@ -22,8 +22,8 @@ from .errors import (ConfigError, DriftMpcError, GripBranchError,
 from .mpc import MpcConfig, augment, condense, linearize, solve_mpc
 from .paths import (PATH_KINDS, ClothoidSpec, EightSpec, PathTable,
                     errors_from_projection, project)
-from .tracking import (AptParams, apt_radius, clamp_radius, default_radius_grid,
-                       ppt_radius, steer_feedback)
+from .tracking import (RADIUS_GRID, AptParams, apt_radius, clamp_radius, ppt_radius,
+                       steer_feedback)
 from .vehicle import (MU_NOMINAL, MU_SLIPPERY, V_FLOOR, ControlInput, ControlLimits,
                       Pose, VehicleParams, default_limits, default_vehicle_params,
                       step, wrap_angle)
@@ -245,7 +245,6 @@ def run_episode(scenario: Scenario, theta=None,
     model_params = scenario.model_params
     plant_params = scenario.plant_params
     n_steps = scenario.n_steps
-    radius_grid = default_radius_grid()
 
     # initial condition: path origin, course aligned with the tangent, at the
     # stock equilibrium for the initial path radius, clamped like every later one
@@ -285,7 +284,7 @@ def run_episode(scenario: Scenario, theta=None,
             R_eq = apt_radius(errs, law)
         else:
             stride = max(1, int(round(state.V * mpc_cfg.dT / path.spacing)))
-            R_eq = ppt_radius(pose, proj, path, mpc_cfg.N_p, radius_grid,
+            R_eq = ppt_radius(pose, proj, path, mpc_cfg.N_p, RADIUS_GRID,
                               beta=state.beta, stride=stride)
         delta_hat = steer_feedback(errs, law, R_eq, limits.delta_min, limits.delta_max)
         dep_ok = True

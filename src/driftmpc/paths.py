@@ -46,16 +46,15 @@ class ClothoidSpec:
             raise ConfigError("spacing must be in (0, length]")
         n = int(round(self.length / spacing)) + 1
         s = np.arange(n) * spacing
-        x = np.empty(n)
-        y = np.empty(n)
-        x[0], y[0] = self.x0, self.y0
-        # Simpson weights for 4 panels per interval
-        offsets = np.linspace(0.0, spacing, 5)
-        weights = np.array([1.0, 4.0, 2.0, 4.0, 1.0]) * (spacing / 4.0) / 3.0
-        for i in range(1, n):
-            psi = self._tangent_angle(s[i - 1] + offsets)
-            x[i] = x[i - 1] + float(weights @ np.cos(psi))
-            y[i] = y[i - 1] + float(weights @ np.sin(psi))
+        # tangent angles at the 5 nodes of every interval, Simpson weights
+        # for 4 panels per interval
+        psi = self._tangent_angle(s[:-1, None] + np.linspace(0.0, spacing, 5))
+        weights = (np.array([1.0, 4.0, 2.0, 4.0, 1.0]) * (spacing / 4.0) / 3.0)[:, None]
+        # stacked (1, 5) @ (5, 1) products add like one vector dot per
+        # interval; gemv and einsum add in another order.  cumsum adds the
+        # increments one after another from the start point
+        x = np.cumsum(np.append(self.x0, (np.cos(psi)[:, None, :] @ weights).ravel()))
+        y = np.cumsum(np.append(self.y0, (np.sin(psi)[:, None, :] @ weights).ravel()))
         phi = self._tangent_angle(s)
         kappa = self.kappa + self.kappa_prime * s
         return PathTable(s=s, x=x, y=y, phi=phi, kappa=kappa, spacing=spacing)
@@ -83,22 +82,17 @@ class EightSpec:
         if not 0 < spacing <= lobe_len:
             raise ConfigError("spacing must be in (0, 2*pi*radius]")
         n_lobe = int(round(lobe_len / spacing))
-        total = 2 * n_lobe + 1
-        s = np.arange(total) * spacing
-        x = np.empty(total)
-        y = np.empty(total)
-        phi = np.empty(total)
-        kappa = np.empty(total)
+        k = np.arange(2 * n_lobe + 1)
+        s = k * spacing
         # left lobe: center (0, +R), counter-clockwise from angle -pi/2;
-        # right lobe: center (0, -R), clockwise from angle +pi/2
-        for part, sign, s0 in ((slice(0, n_lobe), 1.0, 0.0),
-                               (slice(n_lobe, total), -1.0, lobe_len)):
-            s_lobe = s[part] - s0
-            ang = sign * (-0.5 * math.pi + s_lobe / radius)
-            x[part] = radius * np.cos(ang)
-            y[part] = sign * radius + radius * np.sin(ang)
-            phi[part] = sign * (s_lobe / radius)
-            kappa[part] = sign / radius
+        # right lobe, from sample n_lobe on: center (0, -R), clockwise from +pi/2
+        sign = np.where(k < n_lobe, 1.0, -1.0)
+        s_lobe = s - np.where(k < n_lobe, 0.0, lobe_len)
+        ang = sign * (-0.5 * math.pi + s_lobe / radius)
+        x = radius * np.cos(ang)
+        y = sign * radius + radius * np.sin(ang)
+        phi = sign * (s_lobe / radius)
+        kappa = sign / radius
         return PathTable(s=s, x=x, y=y, phi=phi, kappa=kappa, spacing=spacing)
 
 

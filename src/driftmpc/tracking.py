@@ -18,6 +18,12 @@ from .paths import PathTable, Projection, TrackingErrors
 from .vehicle import Pose
 
 
+# signed candidate radii of the predictive baseline: 40 log-spaced
+# magnitudes in [5, 500] m, left turns then right
+RADIUS_GRID = np.outer([1.0, -1.0], np.geomspace(R_EQ_MIN, R_EQ_MAX, 40)).ravel()
+RADIUS_GRID.flags.writeable = False
+
+
 @dataclass(frozen=True)
 class AptParams:
     w_r: float = 1.0              # radius weight [-]
@@ -62,12 +68,6 @@ def steer_feedback(errors: TrackingErrors, p: AptParams, R_eq: float,
     return min(max(delta_hat, delta_min), delta_max)
 
 
-def default_radius_grid(n: int = 40) -> np.ndarray:
-    """Signed candidate radii, log-spaced magnitudes in [5, 500] m."""
-    mags = np.geomspace(R_EQ_MIN, R_EQ_MAX, n)
-    return np.concatenate([mags, -mags])
-
-
 def ppt_radius(pose: Pose, proj: Projection, path: PathTable, horizon_pts: int,
                radius_grid, beta: float = 0.0, stride: int = 1) -> float:
     """Predictive baseline: best circle through the vehicle fitting the path.
@@ -84,10 +84,8 @@ def ppt_radius(pose: Pose, proj: Projection, path: PathTable, horizon_pts: int,
     sin_c, cos_c = math.sin(course), math.cos(course)
     idx = proj.index + stride * np.arange(1, horizon_pts + 1)
     idx = idx[idx < len(path)]
-    if len(idx) < 3:
-        idx = np.arange(proj.index + 1, len(path))
-        if len(idx) < 3:
-            idx = np.arange(max(len(path) - 4, 0) + 1, len(path))
+    if len(idx) < 3:  # every sample after the foot point, at least the last three
+        idx = np.arange(max(min(proj.index, len(path) - 4), 0) + 1, len(path))
     R = np.asarray(radius_grid, dtype=float)[:, None]
     offsets = np.hypot(path.x[idx] - (pose.X - R * sin_c),
                        path.y[idx] - (pose.Y + R * cos_c)) - np.abs(R)

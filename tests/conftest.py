@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from driftmpc.mpc import MpcConfig
 from driftmpc.vehicle import default_limits, default_vehicle_params
+
+# every run draws the same examples: seeded from each test, with no example
+# database carried over from earlier runs
+settings.register_profile("fixed", derandomize=True, database=None)
+settings.load_profile("fixed")
 
 
 @pytest.fixture(scope="session")

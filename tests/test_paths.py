@@ -3,6 +3,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from driftmpc.errors import ConfigError, OffPathError
 from driftmpc.paths import (ClothoidSpec, EightSpec, PathTable, errors_from_projection,
@@ -11,6 +13,89 @@ from driftmpc.vehicle import Pose, wrap_angle
 
 STOCK = ClothoidSpec(x0=0.0, y0=0.0, theta0=0.0, kappa=1 / 40,
                      kappa_prime=1 / 12000, length=360.0)
+
+
+def clothoid_loop(spec, spacing):
+    """Oracle: Simpson on four panels, one interval at a time."""
+    def tangent_angle(s):
+        return spec.theta0 + spec.kappa * s + 0.5 * spec.kappa_prime * s * s
+
+    n = int(round(spec.length / spacing)) + 1
+    s = np.arange(n) * spacing
+    x = np.empty(n)
+    y = np.empty(n)
+    x[0], y[0] = spec.x0, spec.y0
+    offsets = np.linspace(0.0, spacing, 5)
+    weights = np.array([1.0, 4.0, 2.0, 4.0, 1.0]) * (spacing / 4.0) / 3.0
+    for i in range(1, n):
+        psi = tangent_angle(s[i - 1] + offsets)
+        x[i] = x[i - 1] + float(weights @ np.cos(psi))
+        y[i] = y[i - 1] + float(weights @ np.sin(psi))
+    return s, x, y, tangent_angle(s), spec.kappa + spec.kappa_prime * s
+
+
+def eight_loop(radius, spacing):
+    """Oracle: one lobe at a time, each from its own arc offset and sign."""
+    lobe_len = 2.0 * math.pi * radius
+    n_lobe = int(round(lobe_len / spacing))
+    total = 2 * n_lobe + 1
+    s = np.arange(total) * spacing
+    x, y, phi, kappa = (np.empty(total) for _ in range(4))
+    for part, sign, s0 in ((slice(0, n_lobe), 1.0, 0.0),
+                           (slice(n_lobe, total), -1.0, lobe_len)):
+        s_lobe = s[part] - s0
+        ang = sign * (-0.5 * math.pi + s_lobe / radius)
+        x[part] = radius * np.cos(ang)
+        y[part] = sign * radius + radius * np.sin(ang)
+        phi[part] = sign * (s_lobe / radius)
+        kappa[part] = sign / radius
+    return s, x, y, phi, kappa
+
+
+def assert_same_bits(table, oracle):
+    for name, want in zip(("s", "x", "y", "phi", "kappa"), oracle):
+        assert getattr(table, name).tobytes() == want.tobytes(), name
+
+
+@st.composite
+def clothoids(draw):
+    spec = ClothoidSpec(x0=draw(st.floats(-100.0, 100.0)), y0=draw(st.floats(-100.0, 100.0)),
+                        theta0=draw(st.floats(-4.0, 4.0)),
+                        kappa=draw(st.one_of(st.just(0.0), st.floats(-0.2, 0.2))),
+                        kappa_prime=draw(st.one_of(st.just(0.0), st.floats(-1e-3, 1e-3))),
+                        length=draw(st.floats(0.5, 800.0)))
+    spacing = draw(st.one_of(st.just(spec.length), st.floats(0.05, 1.0)))
+    return spec, min(spacing, spec.length)
+
+
+@st.composite
+def eights(draw):
+    radius = draw(st.floats(0.5, 300.0))
+    spacing = draw(st.one_of(st.just(2.0 * math.pi * radius), st.floats(0.05, 1.0)))
+    return radius, min(spacing, 2.0 * math.pi * radius)
+
+
+@settings(max_examples=100, deadline=None)
+@given(clothoids())
+@example((STOCK, 0.25))
+@example((ClothoidSpec(kappa=0.0, kappa_prime=0.0, length=50.0), 0.5))
+@example((ClothoidSpec(x0=3.3, y0=-1.7, theta0=0.4, kappa=-0.01, kappa_prime=1e-4,
+                       length=123.4), 0.37))  # 123.4 m is not a multiple of 0.37 m
+@example((ClothoidSpec(kappa=-0.05, kappa_prime=-1e-4, length=7.0), 7.0))
+def test_clothoid_build_matches_interval_loop(case):
+    spec, spacing = case
+    assert_same_bits(spec.build(spacing), clothoid_loop(spec, spacing))
+
+
+@settings(max_examples=100, deadline=None)
+@given(eights())
+@example((40.0, 0.25))
+@example((7.3, 0.1))
+@example((123.4, 0.37))
+@example((40.0, 2.0 * math.pi * 40.0))
+def test_eight_build_matches_lobe_loop(case):
+    radius, spacing = case
+    assert_same_bits(EightSpec(radius).build(spacing), eight_loop(radius, spacing))
 
 
 class TestBuildClothoid:

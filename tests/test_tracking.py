@@ -6,11 +6,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from driftmpc.equilibrium import R_EQ_MAX, R_EQ_MIN
 from driftmpc.errors import ConfigError
 from driftmpc.paths import ClothoidSpec, EightSpec, TrackingErrors, project
-from driftmpc.tracking import (AptParams, apt_radius, default_radius_grid,
-                               ppt_radius, steer_feedback)
+from driftmpc.tracking import (RADIUS_GRID, AptParams, apt_radius, ppt_radius,
+                               steer_feedback)
 from driftmpc.vehicle import Pose
+
+
+def radius_grid(n):
+    """Signed candidate radii: n log-spaced magnitudes in [5, 500] m, left then right."""
+    mags = np.geomspace(R_EQ_MIN, R_EQ_MAX, n)
+    return np.concatenate([mags, -mags])
+
+
+def test_radius_grid_is_a_read_only_constant():
+    assert RADIUS_GRID.tobytes() == radius_grid(40).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        RADIUS_GRID[0] = 1.0
 
 
 def errs(e=0.0, d_phi=0.0, d_psi=0.0, e_la=0.0, R_r=40.0):
@@ -101,7 +114,7 @@ class TestPptRadius:
 
     def test_straight_path_prefers_flattest(self):
         straight = ClothoidSpec(kappa=0.0, kappa_prime=0.0, length=100.0).build(0.25)
-        grid = default_radius_grid()
+        grid = RADIUS_GRID
         pose = Pose(5.0, 0.0, 0.0)
         R = ppt_radius(pose, project(pose, straight), straight, 20, grid, beta=0.0, stride=4)
         assert abs(R) == 500.0
@@ -109,8 +122,8 @@ class TestPptRadius:
     def test_matches_fine_grid_oracle(self):
         path = ClothoidSpec(kappa=1 / 40, kappa_prime=1 / 12000,
                             length=300.0).build(0.25)
-        coarse = default_radius_grid(40)
-        fine = default_radius_grid(400)
+        coarse = RADIUS_GRID
+        fine = radius_grid(400)
         i = 400
         pose = Pose(float(path.x[i]) + 0.3, float(path.y[i]),
                     float(path.phi[i]) + 0.05)
@@ -126,7 +139,7 @@ class TestPptRadius:
     def test_grid_order_invariance(self, rng):
         path = ClothoidSpec(kappa=1 / 40, kappa_prime=1 / 12000,
                             length=300.0).build(0.25)
-        grid = default_radius_grid(40)
+        grid = RADIUS_GRID
         shuffled = grid.copy()
         rng.shuffle(shuffled)
         pose = Pose(float(path.x[300]) + 0.2, float(path.y[300]), float(path.phi[300]))
@@ -167,7 +180,10 @@ def ppt_radius_loop(pose, path, horizon_pts, radius_grid, beta=0.0, stride=1,
     return math.copysign(min(max(abs(best_R), 5.0), 500.0), best_R)
 
 
-PATHS = {"clothoid": ClothoidSpec().build(), "eight": EightSpec(radius=30.0).build()}
+PATHS = {"clothoid": ClothoidSpec().build(), "eight": EightSpec(radius=30.0).build(),
+         # 2, 3 and 4 samples: at most three after any foot point
+         **{f"clothoid{n}": ClothoidSpec(length=0.25 * (n - 1)).build(0.25)
+            for n in (2, 3, 4)}}
 
 
 @st.composite
@@ -180,7 +196,7 @@ def ppt_cases(draw):
     hint = draw(st.one_of(st.none(), st.integers(-30, 30).map(
         lambda d: min(max(i + d, 0), len(path) - 1))))
     return dict(pose=pose, path=path, horizon_pts=draw(st.integers(3, 25)),
-                radius_grid=default_radius_grid(draw(st.integers(1, 60))),
+                radius_grid=radius_grid(draw(st.integers(1, 60))),
                 beta=draw(st.floats(-0.8, 0.8)), stride=draw(st.integers(1, 12)),
                 hint_index=hint)
 
@@ -195,9 +211,12 @@ def test_ppt_radius_matches_scalar_loop(case):
     assert ppt_radius(proj=proj, **case) == ppt_radius_loop(**case, hint_index=proj.index)
 
 
-@pytest.mark.parametrize("kind", sorted(PATHS))
+@pytest.mark.parametrize("kind", ["clothoid", "eight"])
 @pytest.mark.parametrize("back, horizon_pts, stride", [
     (10, 6, 5),  # the stride runs past the end: every sample after the foot
+    (4, 6, 3),   # one strided sample: the four samples after the foot
+    (3, 6, 5),   # foot at len(path) - 4, where the rule switches: the last three
+    (3, 6, 1),   # foot at len(path) - 4, three strided samples: no fallback
     (2, 6, 1),   # fewer than 3 samples after the foot: the last three
     (0, 4, 1)])  # foot on the last sample: the last three
 def test_ppt_radius_at_the_path_end_matches_loop(kind, back, horizon_pts, stride):
@@ -210,7 +229,7 @@ def test_ppt_radius_at_the_path_end_matches_loop(kind, back, horizon_pts, stride
                 float(path.y[i]) - 0.4 * math.cos(phi), phi + 0.1)
     proj = project(pose, path, hint_index=i)
     assert proj.index == i
-    grid = default_radius_grid()
+    grid = RADIUS_GRID
     assert ppt_radius(pose, proj, path, horizon_pts, grid, beta=-0.3, stride=stride) \
         == ppt_radius_loop(pose, path, horizon_pts, grid, beta=-0.3, stride=stride,
                            hint_index=i)
