@@ -3,8 +3,8 @@
 # stdout they produce under OUTDIR, plus a digest of the QP solver on the
 # instances recorded in perfbench/data, one of the equilibrium,
 # linearization and condensing kernels over a grid of operating points, one
-# of three closed-loop episodes, one of two Bayesian-optimization runs and
-# one of five path tables.
+# of three closed-loop episodes, one of two Bayesian-optimization runs, one
+# of five path tables and one of 36 Sobol' samples.
 # Last it checks the SHA-256 of every output against the list committed
 # next to it, scripts/cli_outputs.sha256, and exits 1 naming every file that
 # differs.  The list holds for the Python, NumPy, SciPy and OpenBLAS of its
@@ -222,6 +222,22 @@ for name, table in (("clothoid", ClothoidSpec().build()),
     columns = (table.s, table.x, table.y, table.phi, table.kappa)
     for k, row in enumerate(zip(*(c.tolist() for c in columns))):
         print(name, k, " ".join(map(float.hex, row)))
+PY
+
+# sobol_digest.txt, one line per point of ThetaBounds samples in the first
+# 1, 2 and 3 components of the stock box: its dimension, the sample size,
+# the seed, the point's index and the exact bits of the point, for sample
+# sizes 1, 5 and 2048 and seeds 0, 7, 1007 and 50023
+python3 -B - > sobol_digest.txt <<'PY'
+from driftmpc.bo import ThetaBounds
+
+stock = ThetaBounds()
+for d in (1, 2, 3):
+    bounds = ThetaBounds(stock.lo[:d], stock.hi[:d])
+    for n in (1, 5, 2048):
+        for seed in (0, 7, 1007, 50023):
+            for k, point in enumerate(bounds.sample(n, seed).tolist()):
+                print(d, n, seed, k, " ".join(map(float.hex, point)))
 PY
 
 # the SHA-256 list of every file under OUTDIR, headed by the versions it

@@ -3,7 +3,10 @@ search, and the evaluate-update-acquire loop over a black-box runner.
 """
 from __future__ import annotations
 
+import functools
+import importlib.util
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -13,6 +16,47 @@ from .gp import NUGGET, GpDataset, GpModel, gp_fit, gp_predict, gp_predict_batch
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 REFIT_EVERY = 5  # bo_loop searches GP hyperparameters every this many steps
+SOBOL_BITS = 30  # Sobol' points lie on a 2**-SOBOL_BITS grid, as scipy's default
+
+
+def _check_count(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ConfigError(f"{name} must be a non-negative integer, got {value!r}")
+
+
+@functools.cache
+def _sobol_directions(d: int) -> np.ndarray:
+    """Direction numbers of the first d Sobol' dimensions as a read-only
+    (d, SOBOL_BITS) uint32 array, column j scaled by 2**(SOBOL_BITS-1-j).
+    Row 0 is all ones; row k follows the Bratley-Fox recurrence from the
+    Joe-Kuo primitive polynomial poly[k] and initial numbers vinit[k], read
+    from the table SciPy ships (which imports scipy, not scipy.stats) once
+    per dimension."""
+    table = os.path.join(importlib.util.find_spec("scipy.stats").submodule_search_locations[0],
+                         "_sobol_direction_numbers.npz")
+    try:
+        with np.load(table) as npz:
+            poly, vinit = npz["poly"][:d].tolist(), npz["vinit"][:d].tolist()
+    except OSError as exc:
+        raise ConfigError(f"cannot read the Sobol' direction numbers {table}: "
+                          f"{exc.strerror}") from exc
+    if len(poly) < d:
+        raise ConfigError(f"Sobol' samples have at most {len(poly)} dimensions, asked for {d}")
+    v = np.ones((d, SOBOL_BITS), dtype=np.uint32)
+    for k in range(1, d):
+        p = poly[k]
+        m = p.bit_length() - 1
+        row = vinit[k][:m]
+        for j in range(m, SOBOL_BITS):
+            new = row[j - m]
+            for i in range(m):
+                if (p >> (m - 1 - i)) & 1:
+                    new ^= row[j - i - 1] << (i + 1)
+            row.append(new)
+        v[k] = row
+    v <<= np.arange(SOBOL_BITS - 1, -1, -1, dtype=np.uint32)
+    v.flags.writeable = False
+    return v
 
 
 @dataclass(frozen=True)
@@ -41,11 +85,33 @@ class ThetaBounds:
         return bool(np.all(t >= self.lo - 1e-12) and np.all(t <= self.hi + 1e-12))
 
     def sample(self, n: int, seed: int) -> np.ndarray:
-        """Scrambled low-discrepancy sample of n points in the box."""
-        from scipy.stats import qmc  # imported on first use: only the tuner needs scipy.stats
-        sob = qmc.Sobol(d=self.dim, scramble=True, seed=seed)
-        n_pow2 = 1 << max(int(n - 1).bit_length(), 0) if n > 1 else 1
-        u = sob.random(n_pow2)[:n]
+        """Scrambled Sobol' sample of n points in the box: Joe-Kuo direction
+        numbers, then LMS plus digital-shift scrambling drawn from
+        `np.random.default_rng(seed)`, on a 2**-30 grid.  The points are the
+        first n of `scipy.stats.qmc.Sobol(dim, scramble=True, seed=seed)`
+        drawn at the next power of two, bit for bit.  Raises ConfigError
+        for an n or a seed that is not a non-negative integer."""
+        _check_count("sample size", n)
+        _check_count("seed", seed)
+        if n > 1 << SOBOL_BITS:
+            raise ConfigError(f"a Sobol' sample holds at most 2**{SOBOL_BITS} points, "
+                              f"asked for {n}")
+        rng = np.random.default_rng(seed)
+        exps = np.arange(SOBOL_BITS, dtype=np.uint32)
+        bit = 1 << exps  # 2**j
+        shift = rng.integers(2, size=(self.dim, SOBOL_BITS), dtype=np.uint32) @ bit
+        ltm = np.tril(rng.integers(2, size=(self.dim, SOBOL_BITS, SOBOL_BITS),
+                                   dtype=np.uint32)) | np.eye(SOBOL_BITS, dtype=np.uint32)
+        # LMS: bit 29-p of sv[k, j] is the parity of row p of ltm[k] against
+        # the bits of v[k, j], most significant first
+        v_bits = (_sobol_directions(self.dim)[:, None, :] >> exps[::-1, None]) & 1
+        sv = bit[::-1] @ ((ltm @ v_bits) & 1)
+        # Gray-code order: point 0 is the shift, point i is point i-1 XOR
+        # sv[:, c], c the index of the lowest zero bit of i-1 (lowest set bit of i)
+        i = np.arange(1, n)
+        c = np.frexp(i & -i)[1] - 1
+        points = np.bitwise_xor.accumulate(np.vstack([shift, sv[:, c].T]))[:n]
+        u = points * 2.0 ** -SOBOL_BITS
         return self.lo + u * (self.hi - self.lo)
 
 
@@ -121,6 +187,9 @@ def bo_loop(runner, bounds: ThetaBounds, m: int, N: int, seed: int,
     """
     if m < 2 or N < m:
         raise ConfigError("need m >= 2 and N >= m")
+    # checked before any run: when every initial point is a warm start, the
+    # first sample is drawn only at the first acquisition
+    _check_count("seed", seed)
     init = np.empty((0, bounds.dim))
     if init_thetas is not None and np.size(init_thetas):
         init = np.array(init_thetas, float, ndmin=2)

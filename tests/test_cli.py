@@ -163,6 +163,15 @@ def test_classified_errors_reported_without_traceback(tmp_path, capsys):
     assert err.startswith("driftmpc: ConfigError: traces have mismatched lengths")
 
 
+def test_negative_tune_seed_reported_without_traceback(tmp_path, capsys):
+    out = tmp_path / "tuned"
+    assert main(["tune", "--case", "1", "--mode", "dep", "--seed", "-1",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("driftmpc: ConfigError: seed must be a non-negative integer")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("spacing", ["0", "-1", "1000", "nan"])
 def test_path_spacing_outside_the_lobe_rejected(tmp_path, capsys, spacing):
     out = tmp_path / "eight.csv"

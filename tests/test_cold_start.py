@@ -1,8 +1,9 @@
 """What a fresh interpreter loads: the controller without the tuner's SciPy
-modules, the tuner with them on first use (each one by the function that
-needs it), and the same Sobol sample as when they were imported at the
-top of the package.  Also that a script run without PYTHONPATH finds the
-package."""
+modules, the tuner with scipy.optimize and scipy.special on first use (each
+one by the function that needs it) and never scipy.stats, whose Sobol'
+sequence the package draws itself, and the same Sobol sample as when
+scipy.stats was imported at the top of the package.  Also that a script
+run without PYTHONPATH finds the package."""
 import json
 import os
 import subprocess
@@ -58,7 +59,14 @@ def test_sample_and_fit_load_tuner_modules(tmp_path):
         "b = ThetaBounds()\n"
         "x = b.sample(5, 0)\n"
         "gp_fit(GpDataset(x, (x * x).sum(axis=1)), b.lo, b.hi)", tmp_path)
-    assert loaded["scipy.stats"] and loaded["scipy.optimize"]
+    assert loaded["scipy.optimize"] and not loaded["scipy.stats"]
+
+
+def test_tune_leaves_scipy_stats_unloaded(tmp_path):
+    loaded = _loaded_after(
+        "from driftmpc.harness import case_scenario, tune\n"
+        "tune(case_scenario(1, 'dep', T=2.0), init=3, budget=4)", tmp_path)
+    assert loaded == {"scipy.stats": False, "scipy.optimize": True, "scipy.special": True}
 
 
 def test_expected_improvement_loads_only_scipy_special(tmp_path):

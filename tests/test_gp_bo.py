@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
-from driftmpc import gp
+from driftmpc import bo, gp
 from driftmpc.bo import ThetaBounds, _ei_batch, acquire_next, bo_loop, expected_improvement
 from driftmpc.errors import ConfigError
 from driftmpc.gp import (GpDataset, gp_fit, gp_predict, gp_predict_batch,
@@ -82,6 +82,14 @@ def fit_or_error(*args, **kwargs):
 def same_bits(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def sobol_oracle(bounds, n, seed):
+    """scipy's scrambled Sobol' points, drawn at the next power of two,
+    truncated to n and mapped into the box."""
+    from scipy.stats import qmc  # the oracle only: the package never imports it
+    u = qmc.Sobol(d=bounds.dim, scramble=True, seed=seed).random(1 << max(n - 1, 0).bit_length())
+    return bounds.lo + u[:n] * (bounds.hi - bounds.lo)
 
 
 class TestMatern:
@@ -578,6 +586,73 @@ class TestBoLoop:
         with pytest.raises(ConfigError, match="more warm-start points than"):
             bo_loop(calls.append, BOUNDS, m=2, N=4, seed=0,
                     init_thetas=[(0.0, 1.0, 0.0)] * 3)
+        assert calls == []
+
+
+SOBOL_SIZES = [0, 1, 2, 3, 5, 31, 2048]
+
+
+@st.composite
+def sobol_cases(draw):
+    d = draw(st.integers(1, 8))
+    lo = draw(st.lists(st.floats(-10.0, 10.0), min_size=d, max_size=d))
+    width = draw(st.lists(st.floats(1e-3, 100.0), min_size=d, max_size=d))
+    n = draw(st.sampled_from(SOBOL_SIZES) | st.integers(0, 4096))
+    seed = draw(st.sampled_from([0, 2**32 - 1, 2**32, 2**64]) | st.integers(0, 2**64))
+    return ThetaBounds(lo, np.add(lo, width)), n, seed
+
+
+class TestSobolSample:
+    @settings(max_examples=200, deadline=None)
+    @given(sobol_cases())
+    def test_matches_scipy_bit_for_bit(self, case):
+        bounds, n, seed = case
+        assert same_bits(bounds.sample(n, seed), sobol_oracle(bounds, n, seed))
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_every_listed_size_matches_scipy(self, d):
+        bounds = ThetaBounds(np.full(d, -1.0), np.linspace(0.5, 3.0, d))
+        for n in SOBOL_SIZES:
+            for seed in (1, 2**32 + 3):
+                assert same_bits(bounds.sample(n, seed), sobol_oracle(bounds, n, seed))
+
+    def test_numpy_integers_accepted(self):
+        assert same_bits(BOUNDS.sample(np.int64(7), np.uint32(9)), BOUNDS.sample(7, 9))
+
+    @pytest.mark.parametrize("n, seed, name", [(-1, 0, "sample size"), (2.5, 0, "sample size"),
+                                               (np.int64(-3), 0, "sample size"),
+                                               (True, 0, "sample size"), ("4", 0, "sample size"),
+                                               (1, -1, "seed"), (1, 2.5, "seed"),
+                                               (1, None, "seed"), (1, np.float64(3.0), "seed")])
+    def test_bad_size_or_seed_rejected(self, n, seed, name):
+        with pytest.raises(ConfigError, match=f"{name} must be a non-negative integer"):
+            BOUNDS.sample(n, seed)
+
+    def test_more_points_than_the_grid_holds_rejected(self):
+        with pytest.raises(ConfigError, match="at most 2\\*\\*30 points"):
+            BOUNDS.sample((1 << 30) + 1, 0)
+
+    def test_direction_numbers_keep_only_the_rows_asked_for(self):
+        v = bo._sobol_directions(3)
+        assert v.shape == (3, bo.SOBOL_BITS) and v.dtype == np.uint32
+        assert not v.flags.writeable
+        assert same_bits(v[:2], bo._sobol_directions(2))
+
+    def test_missing_direction_table_named(self, tmp_path):
+        spec = mock.Mock(submodule_search_locations=[str(tmp_path)])
+        bo._sobol_directions.cache_clear()
+        try:
+            with mock.patch("importlib.util.find_spec", return_value=spec), \
+                    pytest.raises(ConfigError, match="_sobol_direction_numbers.npz"):
+                ThetaBounds([0.0], [1.0]).sample(4, 0)
+        finally:
+            bo._sobol_directions.cache_clear()
+
+    def test_bad_seed_rejected_before_the_first_run(self):
+        calls = []
+        warm = [(0.0, 1.0, 0.0), (0.1, 1.0, 0.0)]  # every initial point given
+        with pytest.raises(ConfigError, match="seed"):
+            bo_loop(calls.append, BOUNDS, m=2, N=4, seed=-1, init_thetas=warm)
         assert calls == []
 
 
