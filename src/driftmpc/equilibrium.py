@@ -135,8 +135,11 @@ def solve_dep(delta_eq: float, R_eq: float, params: VehicleParams,
     mirrored when the turn flips (drift switching); the default seed (and a
     couple of variations) are always tried after it.  Raises
     NoConvergenceError if no seed converges and GripBranchError if every
-    converged solution is on the grip branch.
+    converged solution is on the grip branch; ConfigError for a steering
+    angle that is not finite or a radius outside the range.
     """
+    if not math.isfinite(delta_eq):
+        raise ConfigError(f"delta_eq must be finite, got {delta_eq!r}")
     check_radius(R_eq)
     base = default_seed(R_eq, params)
     seeds = [base, (base[0] * 1.6, base[1] * 1.4, base[2]),

@@ -8,9 +8,12 @@ by multi-start maximization of the log marginal likelihood.
 gp_fit and gp_predict_batch check their inputs once at entry, so the
 Cholesky factorization and solves call LAPACK directly, as qp does: the
 potrf/potrs that scipy.linalg.cho_factor/cho_solve run (lower factor),
-without their per-call checks.  OpenBLAS's potrf does not flag NaN or inf,
-so the entry checks reject non-finite inputs before they reach it, and
-the posterior is checked once where finite inputs overflow the kernel.
+without their per-call checks.  They are qp's dpotrf and dpotrs, the
+function objects of scipy.linalg._flapack that qp loads without the rest of
+scipy.linalg, so the factors keep their bits.  OpenBLAS's potrf does not
+flag NaN or inf, so the entry checks reject non-finite inputs before they
+reach it, and the posterior is checked once where finite inputs overflow
+the kernel.
 """
 from __future__ import annotations
 
@@ -18,9 +21,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import ConfigError
+from .qp import dpotrf, dpotrs
 
 SQRT5 = math.sqrt(5.0)
 MAX_JITTER_FACTOR = 1e-6

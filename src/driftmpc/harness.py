@@ -112,7 +112,10 @@ class EpisodeTrace:
     def from_csv(path) -> "EpisodeTrace":
         """Read a trace written by to_csv; ConfigError if the file is not one."""
         with open(path) as fh:
-            lines = fh.read().splitlines()
+            try:
+                lines = fh.read().splitlines()
+            except UnicodeDecodeError as exc:  # not text at all
+                raise ConfigError(f"{path}: not a trace, not text ({exc.reason})") from None
         header = lines[0].split(",") if lines else []
         missing = [c for c in TRACE_COLUMNS if c not in header]
         if missing:

@@ -5,17 +5,52 @@ The problem sizes here (tens of variables, a few hundred rows) make a
 dense method with exact KKT certificates the right tool.  Variables are
 equilibrated internally (steering increments are radians, force increments
 are newtons, so raw Hessians are badly conditioned).
+
+The Cholesky factor and solves call LAPACK's dpotrf and dpotrs from SciPy's
+compiled module scipy.linalg._flapack, which _load_flapack loads on its own
+(the rest of scipy.linalg is never imported here).  These are the very
+function objects scipy.linalg.lapack exports, so every factor and solve
+keeps its bits.  gp imports the two from here.
 """
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import ConfigError, InfeasibleQpError, QpIterationLimitError
+
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _load_flapack():
+    """SciPy's LAPACK extension module, without running scipy.linalg's
+    __init__ (which loads some 85 modules): the one already imported, or
+    the file in scipy/linalg, entered in sys.modules before it runs so a
+    later import of scipy.linalg takes this module instead of a second
+    copy.  The extension finds its LAPACK library by its own run path."""
+    if _FLAPACK in sys.modules:
+        return sys.modules[_FLAPACK]
+    scipy_spec = importlib.util.find_spec("scipy")  # imports nothing
+    dirs = [os.path.join(root, "linalg")
+            for root in (scipy_spec.submodule_search_locations if scipy_spec else [])]
+    spec = importlib.machinery.PathFinder.find_spec(_FLAPACK, dirs)
+    if spec is None:
+        raise ImportError(f"{_FLAPACK} not found in {dirs}", name=_FLAPACK)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[_FLAPACK] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
+dpotrf, dpotrs = _flapack.dpotrf, _flapack.dpotrs
 
 FEAS_TOL = 1e-9
 MULT_TOL = 1e-9

@@ -163,6 +163,20 @@ def test_classified_errors_reported_without_traceback(tmp_path, capsys):
     assert err.startswith("driftmpc: ConfigError: traces have mismatched lengths")
 
 
+def test_non_finite_steering_angle_rejected(capsys):
+    assert main(["dep", "--delta", "nan", "--radius", "40"]) == 2
+    assert capsys.readouterr().err == "driftmpc: ConfigError: delta_eq must be finite, got nan\n"
+
+
+def test_trace_file_that_is_not_text_reported_without_traceback(tmp_path, capsys):
+    bad = tmp_path / "bin.csv"
+    bad.write_bytes(b"\xff\xfe\x00t")
+    assert main(["report", "--traces", str(bad), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"driftmpc: ConfigError: {bad}: not a trace, not text")
+    assert "Traceback" not in err and not (tmp_path / "o").exists()
+
+
 def test_negative_tune_seed_reported_without_traceback(tmp_path, capsys):
     out = tmp_path / "tuned"
     assert main(["tune", "--case", "1", "--mode", "dep", "--seed", "-1",

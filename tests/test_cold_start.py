@@ -1,15 +1,21 @@
-"""What a fresh interpreter loads: the controller without the tuner's SciPy
-modules, the tuner with scipy.optimize and scipy.special on first use (each
-one by the function that needs it) and never scipy.stats, whose Sobol'
-sequence the package draws itself, and the same Sobol sample as when
-scipy.stats was imported at the top of the package.  Also that a script
-run without PYTHONPATH finds the package."""
+"""What a fresh interpreter loads: the controller with one SciPy module,
+the LAPACK extension scipy.linalg._flapack, whose dpotrf and dpotrs are the
+function objects scipy.linalg.lapack exports in either import order; the
+tuner with scipy.optimize and scipy.special on first use (each one by the
+function that needs it) and never scipy.stats, whose Sobol' sequence the
+package draws itself, and the same Sobol sample as when scipy.stats was
+imported at the top of the package.  Also that a script run without
+PYTHONPATH finds the package."""
+import importlib.machinery
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from driftmpc import qp
 from driftmpc.bo import ThetaBounds
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -25,15 +31,66 @@ SAMPLE_5_SEED_0 = [
 ]
 
 
-def _loaded_after(code: str, cwd) -> dict:
-    """Run code in a fresh interpreter; which TUNER_MODULES did it load?"""
-    script = (f"import json, sys\n{code}\n"
-              f"print(json.dumps({{m: m in sys.modules for m in {TUNER_MODULES!r}}}))")
+def _fresh(code: str, result: str, cwd):
+    """Run code in a fresh interpreter; the JSON value of result after it."""
+    script = f"import json, sys\n{code}\nprint(json.dumps({result}))"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _loaded_after(code: str, cwd) -> dict:
+    """Run code in a fresh interpreter; which TUNER_MODULES did it load?"""
+    return _fresh(code, f"{{m: m in sys.modules for m in {TUNER_MODULES!r}}}", cwd)
+
+
+def _scipy_modules_after(code: str, cwd) -> list:
+    """Run code in a fresh interpreter; every SciPy module it loaded."""
+    return _fresh(code, "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
+                  cwd)
+
+
+def test_import_and_episode_load_only_the_lapack_extension(tmp_path):
+    assert _scipy_modules_after(
+        "import driftmpc\n"
+        "from driftmpc.harness import case_scenario, run_episode\n"
+        "run_episode(case_scenario(1, 'ppt', T=2.0))", tmp_path) == ["scipy.linalg._flapack"]
+
+
+def test_cli_simulate_loads_only_the_lapack_extension(tmp_path):
+    assert _scipy_modules_after(
+        "from driftmpc.cli import main\n"
+        "assert main(['simulate', '--case', '1', '--mode', 'ppt', '--out', 'o']) == 0",
+        tmp_path) == ["scipy.linalg._flapack"]
+
+
+@pytest.mark.parametrize("imports", ["import driftmpc, scipy.linalg",
+                                     "import scipy.linalg, driftmpc"],
+                         ids=["driftmpc-first", "scipy-linalg-first"])
+def test_lapack_calls_are_scipys_function_objects(tmp_path, imports):
+    same = _fresh(
+        f"{imports}\n"
+        "from scipy.linalg import lapack\n"
+        "from driftmpc import gp, qp\n"
+        "same = {f'{m.__name__}.{f}': getattr(m, f) is getattr(lapack, f)\n"
+        "        for m in (qp, gp) for f in ('dpotrf', 'dpotrs')}\n"
+        "loaded = sys.modules['scipy.linalg._flapack']\n"
+        "same['one module'] = loaded is lapack._flapack is qp._flapack",
+        "same", tmp_path)
+    assert same == {"driftmpc.qp.dpotrf": True, "driftmpc.qp.dpotrs": True,
+                    "driftmpc.gp.dpotrf": True, "driftmpc.gp.dpotrs": True,
+                    "one module": True}
+
+
+def test_loader_without_the_extension_raises_import_error(monkeypatch):
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                        lambda name, path=None, target=None: None)
+    with pytest.raises(ImportError, match=r"scipy\.linalg\._flapack not found in \[") as exc:
+        qp._load_flapack()
+    assert exc.value.name == "scipy.linalg._flapack"
 
 
 def test_import_and_episode_leave_tuner_modules_unloaded(tmp_path):

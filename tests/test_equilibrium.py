@@ -184,6 +184,11 @@ class TestSolveDep:
         with pytest.raises(ConfigError):
             solve_dep(-0.52, 1000.0, params)
 
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_steering_rejected(self, params, delta):
+        with pytest.raises(ConfigError, match="delta_eq must be finite"):
+            solve_dep(delta, 40.0, params)
+
     def test_no_convergence_raises(self, params):
         with pytest.raises(NoConvergenceError):
             solve_dep(-0.9, 5.0, params)

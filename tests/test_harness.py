@@ -270,6 +270,12 @@ class TestTraceCsv:
         with pytest.raises(ConfigError, match=r"trace\.csv: .*Line #3 "):
             EpisodeTrace.from_csv(f)
 
+    def test_file_that_is_not_text_rejected(self, tmp_path):
+        f = tmp_path / "bin.csv"
+        f.write_bytes(b"\xff\xfet\x00,\x00")
+        with pytest.raises(ConfigError, match=r"bin\.csv: not a trace, not text"):
+            EpisodeTrace.from_csv(f)
+
 
 def _hand_trace(rows, failed=False, reason=""):
     table = np.array(rows, float).reshape(-1, len(TRACE_COLUMNS))
